@@ -365,45 +365,6 @@ def parse_cyclo(text: str) -> CyclotomicNumber:
     return CyclotomicNumber(order, coeffs)
 
 
-# -- spec-level operation surface ---------------------------------------
-
-def primitive_root(n: int, k: int = 1) -> CyclotomicNumber:
-    """e_n^k in canonical coordinates."""
-    return CyclotomicNumber.root(n, k)
-
-
-def embed(value, order: int) -> CyclotomicNumber:
-    """Embed a rational or lower-order cyclotomic value into Q(e_order)."""
-    if isinstance(value, CyclotomicNumber):
-        return value.lift(order)
-    return CyclotomicNumber.from_rational(value, order)
-
-
-def field_arith(a: Scalar, b: Scalar, op: str) -> CyclotomicNumber:
-    """Dispatch one exact field operation, op in {add, sub, mul, div}."""
-    if not isinstance(a, CyclotomicNumber):
-        a = CyclotomicNumber.from_rational(a)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def multiplicative_order(x: CyclotomicNumber, bound: int = 10_000) -> int:
-    """Smallest j >= 1 with x^j == 1, searched up to bound."""
-    acc = x
-    for j in range(1, bound + 1):
-        if acc == 1:
-            return j
-        acc = acc * x
-    raise ValueError("no multiplicative order found within bound")
-
-
 # integer-coordinate kernels used by the exact linear algebra -----------
 
 def int_mul_fn(n: int):

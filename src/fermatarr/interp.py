@@ -78,11 +78,16 @@ def _kernel_polys(vectors, nvars: int, degree: int, order: int):
     return polys
 
 
-def rank_kernel(mat: ConditionMatrix):
-    """Exact rank and kernel basis (as polynomials) of a condition matrix."""
+def _eliminate(mat: ConditionMatrix) -> Eliminator:
     elim = Eliminator(mat.ncols, mat.order)
     for row in mat.rows:
         elim.add_field_row(row)
+    return elim
+
+
+def rank_kernel(mat: ConditionMatrix):
+    """Exact rank and kernel basis (as polynomials) of a condition matrix."""
+    elim = _eliminate(mat)
     kernel = _kernel_polys(elim.kernel_basis(), mat.ambient + 1,
                            mat.degree, mat.order)
     return elim.rank, kernel
@@ -92,24 +97,15 @@ def system_dimension(Z: FatScheme, d: int) -> int:
     """Vector-space dimension of degree-d forms vanishing on Z with
     multiplicities."""
     mat = ConditionMatrix.from_scheme(Z, d)
-    elim = Eliminator(mat.ncols, mat.order)
-    for row in mat.rows:
-        elim.add_field_row(row)
-    return mat.ncols - elim.rank
+    return mat.ncols - _eliminate(mat).rank
 
 
 def hilbert_function(Z: FatScheme, d_max: int) -> list:
     """Conditions actually imposed (rank) in each degree 0..d_max."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    out = []
-    for d in range(d_max + 1):
-        mat = ConditionMatrix.from_scheme(Z, d)
-        elim = Eliminator(mat.ncols, mat.order)
-        for row in mat.rows:
-            elim.add_field_row(row)
-        out.append(elim.rank)
-    return out
+    return [_eliminate(ConditionMatrix.from_scheme(Z, d)).rank
+            for d in range(d_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -184,9 +180,7 @@ def decide_unexpected(Z: FatScheme, X_template, d: int, trials: int = 3,
             raise ValueError("template multiplicity must be >= 1")
 
     base_mat = ConditionMatrix.from_scheme(Z, d)
-    base = Eliminator(base_mat.ncols, base_mat.order)
-    for row in base_mat.rows:
-        base.add_field_row(row)
+    base = _eliminate(base_mat)
     dim_Z = base_mat.ncols - base.rank
 
     conditions_X = sum(conditions_count(N, r, m, d) for r, m in template)

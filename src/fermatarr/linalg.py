@@ -5,12 +5,13 @@ CyclotomicNumber entries and is meant for small matrices such as flat
 equations.  The Eliminator scales each row to integer coordinates in
 Z[e_n] and does fraction-free cross-multiplication updates with periodic
 content stripping, which keeps large rank computations exact and fast.
-Row scaling never changes rank or kernel.
+Its rows may mix ints with CyclotomicNumbers: the condition rows of a
+rational flat are int-valued, those of a cyclotomic flat hold ints beside
+CyclotomicNumbers.  Row scaling never changes rank or kernel.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, euler_phi, int_mul_fn, power_table
 
@@ -88,23 +89,23 @@ def row_dot(row, vec, order: int) -> CyclotomicNumber:
 # -- integerized elimination ----------------------------------------------
 
 def _field_row_to_int(row, order: int, phi: int):
-    """Scale a field row to primitive integer coordinates."""
-    den = 1
+    """Scale a row of ints and CyclotomicNumbers to primitive integer
+    coordinates; an int entry is its own first coefficient."""
+    pad = (0,) * (phi - 1)
+    flat: list = []
     for entry in row:
-        e = entry.lift(order) if entry.order != order else entry
-        for c in e.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    flat: list[int] = []
-    for entry in row:
-        e = entry.lift(order) if entry.order != order else entry
-        for c in e.coeffs:
-            flat.append(int(c * den))
-    g = 0
-    for v in flat:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
+        if isinstance(entry, int):
+            flat.append(entry)
+            flat.extend(pad)
+        else:
+            flat.extend((entry if entry.order == order
+                         else entry.lift(order)).coeffs)
+    den = math.lcm(*[c.denominator for c in flat])
+    if den == 1:
+        flat = [c.numerator for c in flat]
+    else:
+        flat = [c.numerator * (den // c.denominator) for c in flat]
+    g = math.gcd(*flat)
     if g > 1:
         flat = [v // g for v in flat]
     if phi == 1:

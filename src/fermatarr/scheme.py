@@ -16,7 +16,8 @@ from __future__ import annotations
 from math import comb, lcm, perm
 
 from .arrange import Flat, containing_hyperplanes, dual_points, fermat_arrangement
-from .cyclo import CyclotomicNumber
+from .cyclo import CyclotomicNumber, euler_phi
+from .linalg import _field_row_to_int
 from .mpoly import (MultiPoly, ProjPoint, default_names, format_point,
                     graded_monomials, parse_point, parse_poly)
 
@@ -189,7 +190,7 @@ def _dict_mul(a: dict, b: dict) -> dict:
             key = tuple(x + y for x, y in zip(ea, eb))
             prev = out.get(key)
             out[key] = va * vb if prev is None else prev + va * vb
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
 
 
 def _restriction_expansions(basis, nvars: int, svars: int, deg: int) -> dict:
@@ -198,13 +199,13 @@ def _restriction_expansions(basis, nvars: int, svars: int, deg: int) -> dict:
     Returns {x-exponent: {s-exponent: coefficient}}.  Prefix products are
     shared along a DFS over the exponent vector.
     """
-    unit = {(0,) * svars: _ONE}
+    unit = {(0,) * svars: 1}
     linears = []
     for i in range(nvars):
         form = {}
         for t in range(svars):
             v = basis[t][i]
-            if not v.is_zero():
+            if v:
                 key = tuple(1 if j == t else 0 for j in range(svars))
                 form[key] = v
         linears.append(form)
@@ -227,6 +228,17 @@ def _restriction_expansions(basis, nvars: int, svars: int, deg: int) -> dict:
     return out
 
 
+def _integral_vector(vec, order: int):
+    """vec scaled to primitive integral coordinates: rational entries as
+    ints, the others as CyclotomicNumbers."""
+    phi = euler_phi(order)
+    coords = _field_row_to_int(vec, order, phi)
+    if phi == 1:
+        return coords
+    return tuple(c[0] if not any(c[1:]) else CyclotomicNumber(order, c)
+                 for c in coords)
+
+
 def component_rows(flat: Flat, mult: int, d: int, orders: str = "top"):
     """Condition rows for one (flat, multiplicity) component in degree d.
 
@@ -234,6 +246,12 @@ def component_rows(flat: Flat, mult: int, d: int, orders: str = "top"):
     everywhere); orders="all" emits every order < mult, for the Euler
     equivalence check.  When d < mult-1 no nonzero degree-d form satisfies
     the component, so the rows span the full coefficient space.
+
+    The flat is parametrized by its span basis scaled to integral
+    coordinates, so the rows of a rational flat hold only ints, and those
+    of a cyclotomic flat hold ints beside CyclotomicNumbers.  Scaling a
+    basis vector by c multiplies each row by a power product of the c's,
+    which changes no rank, dimension or kernel.
     """
     if orders not in ("top", "all"):
         raise ValueError("orders must be 'top' or 'all'")
@@ -242,12 +260,12 @@ def component_rows(flat: Flat, mult: int, d: int, orders: str = "top"):
     if d < mult - 1:
         rows = []
         for j in range(len(cols)):
-            row = [_ZERO] * len(cols)
-            row[j] = _ONE
+            row = [0] * len(cols)
+            row[j] = 1
             rows.append(tuple(row))
         return rows
     order_list = [mult - 1] if orders == "top" else list(range(mult - 1, -1, -1))
-    basis = flat.span_basis()
+    basis = [_integral_vector(vec, flat.order) for vec in flat.span_basis()]
     svars = flat.dim + 1
     rows = []
     for k in order_list:
@@ -265,15 +283,9 @@ def component_rows(flat: Flat, mult: int, d: int, orders: str = "top"):
                     scale *= perm(a, b)
                 prepared.append((expos[gamma], scale))
             for mu in smonos:
-                row = []
-                for cell in prepared:
-                    if cell is None:
-                        row.append(_ZERO)
-                        continue
-                    expansion, scale = cell
-                    v = expansion.get(mu)
-                    row.append(_ZERO if v is None else v * scale)
-                rows.append(tuple(row))
+                rows.append(tuple([0 if cell is None
+                                   else cell[0].get(mu, 0) * cell[1]
+                                   for cell in prepared]))
     return rows
 
 

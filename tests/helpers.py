@@ -25,11 +25,14 @@ def regular_block(value: CyclotomicNumber):
 
 
 def blowup_rows(field_rows, order: int):
-    """Expand rows over Q(e_order) into phi-times-as-many rational rows."""
+    """Expand rows over Q(e_order) into phi-times-as-many rational rows.
+    Entries are CyclotomicNumbers or ints."""
     phi = euler_phi(order)
     out = []
     for row in field_rows:
-        blocks = [regular_block(v.lift(order)) for v in row]
+        blocks = [regular_block(v.lift(order) if isinstance(v, CyclotomicNumber)
+                                else CyclotomicNumber.from_rational(v, order))
+                  for v in row]
         for s in range(phi):
             out.append([b[s][t] for b in blocks for t in range(phi)])
     return out

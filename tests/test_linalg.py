@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from helpers import field_rank_oracle
 
-from fermatarr.cyclo import CyclotomicNumber
+from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.linalg import (
     Eliminator,
     kernel_of_rows,
@@ -168,3 +168,42 @@ def test_wide_matrix_oracle_agreement():
         rows = _random_matrix(rng, 12, 40, order, )
         assert rank_of_field_rows(rows, 40, order) \
             == field_rank_oracle(rows, order)
+
+
+def _mixed(row):
+    # integral rational entries as plain ints, every other entry unchanged
+    return [v.coeffs[0].numerator
+            if v.is_rational() and v.coeffs[0].denominator == 1 else v
+            for v in row]
+
+
+def test_mixed_int_and_cyclotomic_rows_match_field_rows():
+    # an int entry must be scaled by the row's common denominator like the
+    # first coefficient of a CyclotomicNumber; the kernel shows any slip
+    rng = random.Random(19)
+    for order in ORDERS:
+        ncols = 9
+        rows = []
+        for _ in range(5):
+            row = []
+            for _ in range(ncols):
+                if rng.random() < 0.5:
+                    row.append(CyclotomicNumber.from_rational(
+                        rng.randint(-4, 4), order))
+                else:
+                    row.append(CyclotomicNumber(order, [
+                        Fraction(rng.randint(-6, 6), rng.randint(2, 7))
+                        for _ in range(euler_phi(order))]))
+            rows.append(row)
+        rows.append([a + b * 2 for a, b in zip(rows[0], rows[1])])
+        mixed = [_mixed(r) for r in rows]
+        assert any(isinstance(v, int) for r in mixed for v in r)
+        assert any(not isinstance(v, int) and
+                   any(c.denominator > 1 for c in v.coeffs)
+                   for r in mixed for v in r)
+        whole = Eliminator(ncols, order)
+        part = Eliminator(ncols, order)
+        for field_row, mixed_row in zip(rows, mixed):
+            assert whole.add_field_row(field_row) == part.add_field_row(mixed_row)
+        assert part.rank == whole.rank == field_rank_oracle(rows, order) == 5
+        assert part.kernel_basis() == whole.kernel_basis()

@@ -1,11 +1,15 @@
 """Fat schemes, named configurations, conditions counts, condition rows."""
 
+import random
+
 import pytest
+from helpers import field_rank_oracle
 
 from fermatarr.arrange import Flat
-from fermatarr.interp import system_dimension
+from fermatarr.cyclo import CyclotomicNumber
+from fermatarr.interp import random_flat, system_dimension
 from fermatarr.linalg import Eliminator, rank_of_field_rows
-from fermatarr.mpoly import MultiPoly, graded_monomials, parse_point
+from fermatarr.mpoly import MultiPoly, ProjPoint, graded_monomials, parse_point
 from fermatarr.scheme import (
     FatScheme,
     NamedConfig,
@@ -235,6 +239,46 @@ def test_fat_line_conditions_match_count():
             Z = FatScheme(3, [(line, m)])
             ncols = len(graded_monomials(4, d))
             assert system_dimension(Z, d) == ncols - conditions_count(3, 1, m, d)
+
+
+def test_rational_rows_are_int_valued_and_match_blowup_oracle():
+    # (2:3:5) has span basis (2/5, 3/5, 1): non-unit denominators
+    pt = Flat.from_point(parse_point("(2:3:5)"))
+    assert any(c.denominator > 1 for v in pt.span_basis()[0] for c in v.coeffs)
+    rng = random.Random(7)
+    cases = [(2, pt, m, d) for m in (1, 2, 3) for d in range(6)]
+    for N in (1, 2, 3):
+        for r in range(min(1, N - 1) + 1):
+            for m in (1, 2, 3):
+                for d in range(6):
+                    cases.append((N, random_flat(rng, N, r, box=5), m, d))
+    for N, flat, m, d in cases:
+        rows = component_rows(flat, m, d)
+        assert all(type(v) is int for row in rows for v in row)
+        ncols = len(graded_monomials(N + 1, d))
+        rank = rank_of_field_rows(rows, ncols, 1)
+        assert rank == field_rank_oracle(rows, 1)
+        assert rank == (ncols if d < m - 1 else conditions_count(N, flat.dim, m, d))
+
+
+def test_cyclotomic_point_rows_match_blowup_oracle():
+    for order in (3, 4, 5, 8):
+        e = CyclotomicNumber.root(order)
+        one = CyclotomicNumber.one(order)
+        for coords in ((one, e, e * e + 2), (e + 1, one * 3, e ** 3 - e),
+                       (one, e / 2, one * 0, e + 1)):
+            flat = Flat.from_point(ProjPoint(coords))
+            N = flat.ambient
+            for m in (1, 2, 3):
+                for d in range(m - 1, 5):
+                    rows = component_rows(flat, m, d)
+                    # rows of order-0 expansions (d = m-1) hold only ints
+                    assert any(isinstance(v, CyclotomicNumber)
+                               for row in rows for v in row) == (d > m - 1)
+                    ncols = len(graded_monomials(N + 1, d))
+                    rank = rank_of_field_rows(rows, ncols, order)
+                    assert rank == field_rank_oracle(rows, order)
+                    assert rank == conditions_count(N, 0, m, d)
 
 
 def test_component_rows_rejects_bad_orders_flag():
