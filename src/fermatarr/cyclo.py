@@ -364,31 +364,3 @@ def parse_cyclo(text: str) -> CyclotomicNumber:
     coeffs = [Fraction(p.strip()) for p in body.split(",")] if body else []
     return CyclotomicNumber(order, coeffs)
 
-
-# integer-coordinate kernels used by the exact linear algebra -----------
-
-def int_mul_fn(n: int):
-    """Multiplication of integer coefficient tuples in Z[e_n]."""
-    phi = euler_phi(n)
-    if phi == 1:
-        return lambda a, b: (a[0] * b[0],)
-    tab = power_table(n)
-
-    def mul(a, b):
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        res = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            ck = conv[k]
-            if ck:
-                row = tab[k]
-                for t in range(phi):
-                    if row[t]:
-                        res[t] += ck * row[t]
-        return tuple(res)
-
-    return mul

@@ -22,7 +22,7 @@ from .arrange import Flat
 from .interp import ConditionMatrix, UnexpectednessReport, decide_unexpected
 from .linalg import row_dot
 from .mpoly import MultiPoly, ProjPoint, graded_monomials
-from .scheme import NamedConfig, component_rows, named_configuration
+from .scheme import NamedConfig, component_rows, named_configuration, parse_id
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ _FIXED_BUILDERS = {
 def build_formula(family: str) -> BuiltFormula:
     """Look up a closed form by family id: B3, M3, M4, GEN(m), BMSS or
     MULT4(n)."""
-    head, params = _parse_family(family)
+    head, params = parse_id(family, "family")
     if head in _FIXED_BUILDERS and not params:
         return _FIXED_BUILDERS[head]()
     if head == "GEN" and len(params) == 1:
@@ -242,21 +242,6 @@ def build_formula(family: str) -> BuiltFormula:
     if head == "P5":
         raise ValueError("the P5 family is existence-only; no closed form")
     raise ValueError(f"unknown formula family {family!r}")
-
-
-def _parse_family(family: str) -> tuple[str, tuple[int, ...]]:
-    text = family.strip()
-    if "(" in text:
-        head, _, tail = text.partition("(")
-        if not tail.endswith(")"):
-            raise ValueError(f"bad family id {family!r}")
-        try:
-            params = tuple(int(p) for p in tail[:-1].split(","))
-        except ValueError:
-            raise ValueError(f"bad family parameters in {family!r}") from None
-    else:
-        head, params = text, ()
-    return head.strip().upper(), params
 
 
 # -- symbolic verification --------------------------------------------------
@@ -402,7 +387,7 @@ class FamilyRecord:
 
 
 def family_record(family: str) -> FamilyRecord:
-    head, params = _parse_family(family)
+    head, params = parse_id(family, "family")
     if head == "P5" and not params:
         return FamilyRecord("P5", "P5_MULTI", 4, ((0, 3), (0, 2)), False)
     form = build_formula(family)

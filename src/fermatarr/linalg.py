@@ -3,17 +3,18 @@
 Two layers.  The field layer (rref, kernel_of_rows) works directly on
 CyclotomicNumber entries and is meant for small matrices such as flat
 equations.  The Eliminator scales each row to integer coordinates in
-Z[e_n] and does fraction-free cross-multiplication updates with periodic
-content stripping, which keeps large rank computations exact and fast.
-Its rows may mix ints with CyclotomicNumbers: the condition rows of a
-rational flat are int-valued, those of a cyclotomic flat hold ints beside
+Z[e_n], blows it up into its phi(n) rational copies (the coefficient rows
+of e^0 r, ..., e^(phi-1) r) and runs one fraction-free integer reduction
+with periodic content stripping over them, for every order.  Its rows may
+mix ints with CyclotomicNumbers: the condition rows of a rational flat
+are int-valued, those of a cyclotomic flat hold ints beside
 CyclotomicNumbers.  Row scaling never changes rank or kernel.
 """
 from __future__ import annotations
 
 import math
 
-from .cyclo import CyclotomicNumber, euler_phi, int_mul_fn, power_table
+from .cyclo import CyclotomicNumber, euler_phi, power_table
 
 _STRIP_EVERY = 8
 
@@ -27,9 +28,7 @@ def rref(rows, ncols: int, order: int):
     below, rows sorted by pivot column.  The result is canonical for the
     row space, so it doubles as a structural key for flats.
     """
-    work = [list(r) for r in rows]
-    zero = CyclotomicNumber.zero(order)
-    work = [[(c.lift(order) if isinstance(c, CyclotomicNumber) else CyclotomicNumber.from_rational(c, order)) for c in row] for row in work]
+    work = [[(c.lift(order) if isinstance(c, CyclotomicNumber) else CyclotomicNumber.from_rational(c, order)) for c in row] for row in rows]
     pivot_cols: list[int] = []
     out: list[list[CyclotomicNumber]] = []
     for col in range(ncols):
@@ -113,7 +112,7 @@ def _field_row_to_int(row, order: int, phi: int):
     return tuple(tuple(flat[i:i + phi]) for i in range(0, len(flat), phi))
 
 
-def _strip1(row):
+def _strip(row):
     g = 0
     for v in row:
         if v:
@@ -125,21 +124,29 @@ def _strip1(row):
     return row
 
 
-def _stripk(row):
-    g = 0
-    for entry in row:
-        for v in entry:
-            if v:
-                g = math.gcd(g, v)
-                if g == 1:
-                    return row
-    if g > 1:
-        return [tuple(v // g for v in entry) for entry in row]
-    return row
+def _times_root(vals, top):
+    """Multiply each phi-chunk of a flat coefficient list by e; top holds
+    the coefficients of e^phi."""
+    phi = len(top)
+    out = []
+    for i in range(0, len(vals), phi):
+        carry = vals[i + phi - 1]
+        chunk = [0] + vals[i:i + phi - 1]
+        if carry:
+            chunk = [c + carry * t for c, t in zip(chunk, top)]
+        out.extend(chunk)
+    return out
 
 
 class Eliminator:
     """Incremental exact rank (and kernel) of rows over Q(e_order).
+
+    A row r over Z[e_order] is held as the phi rational rows that carry the
+    coefficients of e^0 r, ..., e^(phi-1) r, column by column.  Their
+    Q-span is Q(e) r, so the rational rank is phi times the field rank and
+    a single fraction-free integer loop serves every order.  Only the e^0
+    copy is reduced to decide independence; the other copies are derived
+    from the reduced row, which agrees with r modulo the accepted span.
 
     Pivot rows are stored as suffixes starting at their leading column and
     are immutable once accepted, so clones share them; that makes
@@ -154,43 +161,40 @@ class Eliminator:
         self.order = order
         self.phi = euler_phi(order)
         self._pivots: dict[int, tuple] = {}
-        if self.phi == 2:
-            mod = power_table(order)[2]
-            self._q0, self._q1 = mod
-        elif self.phi > 2:
-            self._mul = int_mul_fn(order)
 
     def clone(self) -> "Eliminator":
-        other = Eliminator.__new__(Eliminator)
-        other.ncols = self.ncols
-        other.order = self.order
-        other.phi = self.phi
+        other = Eliminator(self.ncols, self.order)
         other._pivots = dict(self._pivots)
-        if self.phi == 2:
-            other._q0, other._q1 = self._q0, self._q1
-        elif self.phi > 2:
-            other._mul = self._mul
         return other
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._pivots) // self.phi
 
     def add_field_row(self, row) -> bool:
         return self.add_int_row(_field_row_to_int(row, self.order, self.phi))
 
     def add_int_row(self, row) -> bool:
-        """Reduce a row against current pivots; keep it if independent."""
-        if self.phi == 1:
-            return self._add1(list(row))
-        if self.phi == 2:
-            return self._add2(list(row))
-        return self._addk(list(row))
+        """Reduce a row of ints (phi = 1) or phi-tuples against the current
+        pivots; keep it, with its e-multiples, if independent."""
+        phi = self.phi
+        vals = list(row) if phi == 1 else [c for entry in row for c in entry]
+        lead = self._reduce(vals, 0)
+        if lead is None:
+            return False
+        if phi > 1:
+            start = lead - lead % phi
+            vals = [0] * (lead - start) + list(self._pivots[lead])
+            top = power_table(self.order)[phi]
+            for _ in range(phi - 1):
+                vals = _times_root(vals, top)
+                self._reduce(vals, start)
+        return True
 
-    # one code path per coefficient layout keeps the hot loop tight
-    def _add1(self, vals) -> bool:
+    def _reduce(self, vals, offset):
+        """Reduce vals, whose first entry sits at column offset; store it
+        and return its leading column if it does not vanish."""
         pivots = self._pivots
-        offset = 0
         k = 0
         while k < len(vals) and not vals[k]:
             k += 1
@@ -200,9 +204,8 @@ class Eliminator:
         while vals:
             prow = pivots.get(offset)
             if prow is None:
-                vals = _strip1(vals)
-                pivots[offset] = tuple(vals)
-                return True
+                pivots[offset] = tuple(_strip(vals))
+                return offset
             p = prow[0]
             e = vals[0]
             pairs = zip(vals, prow)
@@ -211,106 +214,30 @@ class Eliminator:
             offset += 1
             ops += 1
             if ops % _STRIP_EVERY == 0:
-                vals = _strip1(vals)
+                vals = _strip(vals)
             k = 0
             while k < len(vals) and not vals[k]:
                 k += 1
             vals = vals[k:]
             offset += k
-        return False
-
-    def _add2(self, vals) -> bool:
-        q0, q1 = self._q0, self._q1
-        pivots = self._pivots
-        offset = 0
-        k = 0
-        while k < len(vals) and not (vals[k][0] or vals[k][1]):
-            k += 1
-        vals = vals[k:]
-        offset += k
-        ops = 0
-        while vals:
-            prow = pivots.get(offset)
-            if prow is None:
-                vals = _stripk(vals)
-                pivots[offset] = tuple(vals)
-                return True
-            p0, p1 = prow[0]
-            e0, e1 = vals[0]
-            A, B = p0, q0 * p1
-            C, D = p1, p0 + q1 * p1
-            E, F = e0, q0 * e1
-            G, H = e1, e0 + q1 * e1
-            pairs = zip(vals, prow)
-            next(pairs)
-            vals = [(A * x0 + B * x1 - E * y0 - F * y1,
-                     C * x0 + D * x1 - G * y0 - H * y1)
-                    for (x0, x1), (y0, y1) in pairs]
-            offset += 1
-            ops += 1
-            if ops % _STRIP_EVERY == 0:
-                vals = _stripk(vals)
-            k = 0
-            while k < len(vals) and not (vals[k][0] or vals[k][1]):
-                k += 1
-            vals = vals[k:]
-            offset += k
-        return False
-
-    def _addk(self, vals) -> bool:
-        mul = self._mul
-        pivots = self._pivots
-        offset = 0
-        k = 0
-        while k < len(vals) and not any(vals[k]):
-            k += 1
-        vals = vals[k:]
-        offset += k
-        ops = 0
-        while vals:
-            prow = pivots.get(offset)
-            if prow is None:
-                vals = _stripk(vals)
-                pivots[offset] = tuple(vals)
-                return True
-            p = prow[0]
-            e = vals[0]
-            pairs = zip(vals, prow)
-            next(pairs)
-            vals = [tuple(a - b for a, b in zip(mul(p, x), mul(e, y)))
-                    for x, y in pairs]
-            offset += 1
-            ops += 1
-            if ops % _STRIP_EVERY == 0:
-                vals = _stripk(vals)
-            k = 0
-            while k < len(vals) and not any(vals[k]):
-                k += 1
-            vals = vals[k:]
-            offset += k
-        return False
-
-    # -- extraction -------------------------------------------------------
-    def _pivot_field_rows(self):
-        rows = []
-        zero = 0 if self.phi == 1 else (0,) * self.phi
-        for pc in sorted(self._pivots):
-            full = [zero] * pc + list(self._pivots[pc])
-            if self.phi == 1:
-                rows.append([CyclotomicNumber.from_rational(v, self.order) for v in full])
-            else:
-                rows.append([CyclotomicNumber(self.order, v) for v in full])
-        return rows
+        return None
 
     def kernel_basis(self):
-        """Exact kernel basis over Q(e_order) as coefficient vectors."""
-        rows = self._pivot_field_rows()
-        if not rows:
-            one = CyclotomicNumber.one(self.order)
-            zero = CyclotomicNumber.zero(self.order)
-            return [tuple(one if j == f else zero for j in range(self.ncols))
-                    for f in range(self.ncols)]
-        return kernel_of_rows(rows, self.ncols, self.order)
+        """Exact kernel basis over Q(e_order) as coefficient vectors.
+
+        The accepted rows span a Q(e)-invariant space, whose rational
+        leads fill whole phi-chunks; the pivots that start a chunk are
+        therefore one row per field pivot column, a Q(e)-basis of the
+        row space."""
+        phi, order = self.phi, self.order
+        rows = []
+        for pc in sorted(self._pivots):
+            if pc % phi:
+                continue
+            full = [0] * pc + list(self._pivots[pc])
+            rows.append([CyclotomicNumber(order, full[i:i + phi])
+                         for i in range(0, len(full), phi)])
+        return kernel_of_rows(rows, self.ncols, order)
 
 
 def rank_of_field_rows(rows, ncols: int, order: int) -> int:

@@ -429,21 +429,27 @@ def _build_mult4_points(n: int) -> NamedConfig:
     return NamedConfig(f"MULT4_POINTS({n})", scheme)
 
 
-def named_configuration(spec: str) -> NamedConfig:
-    """Look up a configuration by id: B3_DUAL, FERMAT_DUAL(m,k), BMSS_P3,
-    P5_MULTI, LINES42, or MULT4_POINTS(n)."""
+def parse_id(spec: str, noun: str) -> tuple[str, tuple[int, ...]]:
+    """Split an id HEAD or HEAD(p, ...) into its upper-case head and int
+    parameters; noun names the kind of id in error messages."""
     text = spec.strip()
     if "(" in text:
         head, _, tail = text.partition("(")
         if not tail.endswith(")"):
-            raise ValueError(f"bad configuration id {spec!r}")
+            raise ValueError(f"bad {noun} id {spec!r}")
         try:
             params = tuple(int(p) for p in tail[:-1].split(","))
         except ValueError:
-            raise ValueError(f"bad configuration parameters in {spec!r}") from None
+            raise ValueError(f"bad {noun} parameters in {spec!r}") from None
     else:
         head, params = text, ()
-    head = head.strip().upper()
+    return head.strip().upper(), params
+
+
+def named_configuration(spec: str) -> NamedConfig:
+    """Look up a configuration by id: B3_DUAL, FERMAT_DUAL(m,k), BMSS_P3,
+    P5_MULTI, LINES42, or MULT4_POINTS(n)."""
+    head, params = parse_id(spec, "configuration")
     if head == "B3_DUAL" and not params:
         return _build_b3_dual()
     if head == "FERMAT_DUAL" and len(params) == 2:

@@ -1,11 +1,14 @@
 """CLI behavior: exit codes, text and structured output, determinism, files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fermatarr
 from fermatarr.cli import main
 
 
@@ -240,9 +243,14 @@ def test_version_flag(capsys):
 
 
 def test_console_script_runs():
+    # the child does not see pytest's pythonpath; hand it the imported src
+    src = str(Path(fermatarr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fermatarr.cli", "arrangement",
          "--spec", "A(3,1,1)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("arrangement A(3,1,1)")

@@ -11,7 +11,6 @@ from fermatarr.cyclo import (
     CyclotomicNumber,
     cyclotomic_polynomial,
     euler_phi,
-    int_mul_fn,
     parse_cyclo,
     power_table,
 )
@@ -154,23 +153,6 @@ def test_operators_accept_rational_operands():
     assert Fraction(1, 2) * a == a / 2
     with pytest.raises(TypeError):
         a + "nonsense"
-
-
-@pytest.mark.parametrize("order", (1, 3, 4, 5, 8))
-def test_int_mul_fn_agrees_with_field(order):
-    rng = random.Random(order * 11)
-    phi = euler_phi(order)
-    mul = int_mul_fn(order)
-    for _ in range(100):
-        av = [rng.randint(-50, 50) for _ in range(phi)]
-        bv = [rng.randint(-50, 50) for _ in range(phi)]
-        a = CyclotomicNumber(order, tuple(Fraction(v) for v in av)) \
-            if phi > 1 else CyclotomicNumber.from_rational(av[0], order)
-        b = CyclotomicNumber(order, tuple(Fraction(v) for v in bv)) \
-            if phi > 1 else CyclotomicNumber.from_rational(bv[0], order)
-        got = mul(tuple(av), tuple(bv))
-        want = a * b
-        assert tuple(Fraction(g) for g in got) == want.coeffs
 
 
 def test_sum_of_all_roots_is_zero():

@@ -157,6 +157,9 @@ def test_uniqueness_of_small_families():
     assert uniqueness_check("B3")
     assert uniqueness_check("M3")
     assert uniqueness_check("BMSS")
+    assert uniqueness_check("GEN(5)")
+    assert uniqueness_check("GEN(7)")
+    assert uniqueness_check("MULT4(5)")
 
 
 def test_verify_family_b3_report():

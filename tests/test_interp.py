@@ -113,6 +113,14 @@ def test_decide_unexpected_b3_report():
     }
 
 
+def test_decide_unexpected_fermat_dual_7():
+    # order 7, phi = 6: the GEN(7) nonic with its general 8-fold point
+    Z = named_configuration("FERMAT_DUAL(7,0)").scheme
+    r = decide_unexpected(Z, [(0, 8)], 9, trials=2, seed=0)
+    assert (r.dim_Z, r.conditions_X, r.expected, r.actual) == (34, 36, 0, 1)
+    assert r.trial_values == (1, 1) and r.unexpected
+
+
 def test_decide_unexpected_reports_alt_count_for_points():
     bmss = named_configuration("BMSS_P3").scheme
     r = decide_unexpected(bmss, [(0, 3)], 4, trials=2, seed=0)

@@ -281,6 +281,23 @@ def test_cyclotomic_point_rows_match_blowup_oracle():
                     assert rank == conditions_count(N, 0, m, d)
 
 
+@pytest.mark.parametrize("cid, d, m, rank", [
+    ("B3_DUAL", 4, 3, 14),            # phi = 1, the B3 quartic
+    ("MULT4_POINTS(4)", 6, 4, 27),    # phi = 2
+    ("MULT4_POINTS(5)", 7, 4, 35),    # phi = 4
+    ("FERMAT_DUAL(7,0)", 7, 4, 30),   # phi = 6, 31 rows of rank 30
+])
+def test_configuration_with_fat_point_matches_blowup_oracle(cid, d, m, rank):
+    # one realistic-size system per phi, up to 36 columns and 38 rows
+    cfg = named_configuration(cid)
+    point = random_flat(random.Random(5), 2, 0)
+    rows = conditions_rows(cfg.scheme, d) + component_rows(point, m, d)
+    ncols = len(graded_monomials(3, d))
+    order = cfg.scheme.root_order
+    assert rank_of_field_rows(rows, ncols, order) \
+        == field_rank_oracle(rows, order) == rank
+
+
 def test_component_rows_rejects_bad_orders_flag():
     pt = Flat.from_point(parse_point("(1:0:0)"))
     with pytest.raises(ValueError):
