@@ -39,7 +39,6 @@ from .mpoly import MultiPoly, ProjPoint, parse_poly, parse_point
 from .scheme import (
     FatScheme,
     conditions_count,
-    conditions_rows,
     format_scheme,
     named_configuration,
     parse_scheme,

@@ -18,7 +18,7 @@ import itertools
 from math import comb, factorial, lcm
 
 from .cyclo import CyclotomicNumber
-from .linalg import kernel_of_rows, rref
+from .linalg import kernel_of_rows, row_dot, rref
 from .mpoly import MultiPoly, ProjPoint, default_names
 
 _ZERO = CyclotomicNumber.zero()
@@ -87,10 +87,7 @@ class Hyperplane:
         return poly
 
     def contains(self, point: ProjPoint) -> bool:
-        acc = _ZERO
-        for c, x in zip(self.form, point.coords):
-            acc = acc + c * x
-        return acc.is_zero()
+        return row_dot(self.form, point.coords, 1).is_zero()
 
     def dual_point(self) -> ProjPoint:
         return ProjPoint(self.form)
@@ -221,31 +218,13 @@ class GroupElement:
         return len(self.matrix)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = _ZERO
-                for t in range(n):
-                    a = self.matrix[i][t]
-                    b = other.matrix[t][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        cols = tuple(zip(*other.matrix))
+        rows = [[row_dot(row, col, 1) for col in cols] for row in self.matrix]
         return GroupElement(rows, monomial=self.monomial and other.monomial)
 
     def apply(self, vector):
         vec = tuple(_as_cyclo(v) for v in vector)
-        out = []
-        for row in self.matrix:
-            acc = _ZERO
-            for a, x in zip(row, vec):
-                if not (a.is_zero() or x.is_zero()):
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(row_dot(row, vec, 1) for row in self.matrix)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -388,19 +367,12 @@ class Flat:
         return ProjPoint(self.span_basis()[0])
 
     def contains_point(self, point: ProjPoint) -> bool:
-        for row in self.equations:
-            acc = _ZERO
-            for c, x in zip(row, point.coords):
-                acc = acc + c * x
-            if not acc.is_zero():
-                return False
-        return True
+        return all(row_dot(row, point.coords, 1).is_zero()
+                   for row in self.equations)
 
     def contains_flat(self, other: "Flat") -> bool:
-        for vec in other.span_basis():
-            if not self.contains_point(ProjPoint(vec)):
-                return False
-        return True
+        return all(row_dot(row, vec, 1).is_zero()
+                   for vec in other.span_basis() for row in self.equations)
 
     def meet(self, other: "Flat"):
         """Intersection flat, or None when the intersection is empty."""
@@ -442,11 +414,8 @@ class Flat:
 def containing_hyperplanes(arr: Arrangement, fl: Flat) -> list:
     """Arrangement hyperplanes whose form vanishes on the whole flat."""
     basis = fl.span_basis()
-    out = []
-    for h in arr.hyperplanes:
-        if all(h.contains(ProjPoint(vec)) for vec in basis):
-            out.append(h)
-    return out
+    return [h for h in arr.hyperplanes
+            if all(row_dot(h.form, vec, 1).is_zero() for vec in basis)]
 
 
 def lattice_membership(arr: Arrangement, fl: Flat):

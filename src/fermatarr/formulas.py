@@ -259,33 +259,25 @@ def symbolic_vanishing_on_Z(form: BuiltFormula,
     return True
 
 
-def _at_general_point(form: BuiltFormula, poly: MultiPoly) -> MultiPoly:
-    """Substitute the ambient coordinates by the point variables, landing
-    in the point-variable ring."""
-    np_, nc = form.npoint, form.ncoord
-    matrix = [[1 if j == i else 0 for j in range(np_)] for i in range(np_)]
-    matrix += [[1 if j == i else 0 for j in range(np_)] for i in range(nc)]
-    return poly.substitute_linear(matrix, form.point_names)
-
-
 def symbolic_multiplicity_at_general(form: BuiltFormula) -> tuple[int, bool]:
     """Exact vanishing order at the symbolic general point.
 
-    Returns (attained, certified): certified means every ambient partial
-    of order below `attained` vanishes identically at the point while some
-    order-`attained` partial survives as a nonzero polynomial.
+    One substitution x = a + y (the point variables a stay) gives F(a + y),
+    whose degree-t part in y is the sum over |beta| = t of
+    (d^beta F)(a) * y^beta / beta!.  Its lowest y-degree is therefore the
+    order of the derivative criterion.  Returns (attained, certified):
+    certified means every ambient partial of order below `attained`
+    vanishes identically at the point while some order-`attained` partial
+    survives as a nonzero polynomial.  The zero form returns (0, False).
     """
     if form.poly.is_zero():
         return (0, False)
-    np_, nc = form.npoint, form.ncoord
-    for t in range(form.degree + 1):
-        for tail in graded_monomials(nc, t):
-            beta = (0,) * np_ + tail
-            deriv = form.poly.partial_multi(beta)
-            if not _at_general_point(form, deriv).is_zero():
-                return (t, True)
-    # unreachable for a nonzero form: the top-order partials are constants
-    return (form.degree + 1, False)
+    np_ = form.npoint
+    n = np_ + form.ncoord
+    # a_i -> a_i and x_i -> a_i + y_i; the point has one coordinate per x_i
+    shift = [[int(j in (i, i - np_)) for j in range(n)] for i in range(n)]
+    shifted = form.poly.substitute_linear(shift, form.poly.names)
+    return (min(sum(e[np_:]) for e in shifted.terms), True)
 
 
 def membership_in_fat_ideal(n: int = 3,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
 from .arrange import Flat
 from .cyclo import CyclotomicNumber
@@ -50,20 +50,10 @@ class ConditionMatrix:
     def from_scheme(cls, scheme: FatScheme, degree: int) -> "ConditionMatrix":
         mat = cls(scheme.ambient, degree, scheme.root_order)
         for idx, (flat, mult) in enumerate(scheme.components):
-            mat.add_component(flat, mult, tag=idx)
+            rows = component_rows(flat, mult, degree)
+            mat.rows.extend(rows)
+            mat.provenance.extend([idx] * len(rows))
         return mat
-
-    def add_component(self, flat: Flat, mult: int, tag=None):
-        rows = component_rows(flat, mult, self.degree)
-        for row in rows:
-            if len(row) != self.ncols:
-                raise ValueError("row length does not match the monomial basis")
-            self.rows.append(row)
-            self.provenance.append(tag)
-        for eq in flat.equations:
-            for v in eq:
-                if not v.is_rational():
-                    self.order = lcm(self.order, v.order)
 
     def __len__(self):
         return len(self.rows)

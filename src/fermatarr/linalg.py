@@ -89,7 +89,9 @@ def row_dot(row, vec, order: int) -> CyclotomicNumber:
 
 def _field_row_to_int(row, order: int, phi: int):
     """Scale a row of ints and CyclotomicNumbers to primitive integer
-    coordinates; an int entry is its own first coefficient."""
+    coordinates, returned as one flat list of ncols*phi ints (the phi
+    coefficients of each entry in turn); an int entry is its own first
+    coefficient."""
     pad = (0,) * (phi - 1)
     flat: list = []
     for entry in row:
@@ -107,9 +109,7 @@ def _field_row_to_int(row, order: int, phi: int):
     g = math.gcd(*flat)
     if g > 1:
         flat = [v // g for v in flat]
-    if phi == 1:
-        return tuple(flat)
-    return tuple(tuple(flat[i:i + phi]) for i in range(0, len(flat), phi))
+    return flat
 
 
 def _strip(row):
@@ -175,11 +175,10 @@ class Eliminator:
         return self.add_int_row(_field_row_to_int(row, self.order, self.phi))
 
     def add_int_row(self, row) -> bool:
-        """Reduce a row of ints (phi = 1) or phi-tuples against the current
-        pivots; keep it, with its e-multiples, if independent."""
+        """Reduce a flat row of ncols*phi ints against the current pivots;
+        keep it, with its e-multiples, if independent."""
         phi = self.phi
-        vals = list(row) if phi == 1 else [c for entry in row for c in entry]
-        lead = self._reduce(vals, 0)
+        lead = self._reduce(row, 0)
         if lead is None:
             return False
         if phi > 1:

@@ -237,28 +237,8 @@ class MultiPoly:
         coords = list(coords)
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
-        order = self.order
-        for c in coords:
-            if isinstance(c, CyclotomicNumber):
-                order = math.lcm(order, c.order)
-        coords = [_as_coeff(c, 1).lift(order) if not isinstance(c, CyclotomicNumber)
-                  else c.lift(order) for c in coords]
-        pows: list[dict[int, Coeff]] = [dict() for _ in range(self.nvars)]
-
-        def power(i, k):
-            d = pows[i]
-            if k not in d:
-                d[k] = coords[i] ** k
-            return d[k]
-
-        total = CyclotomicNumber.zero(order)
-        for e, c in self.terms.items():
-            v = c.lift(order)
-            for i, k in enumerate(e):
-                if k:
-                    v = v * power(i, k)
-            total = total + v
-        return total
+        value = self.partial_evaluate(dict(enumerate(coords)))
+        return value.terms.get((0,) * self.nvars, CyclotomicNumber.zero(value.order))
 
     def partial_evaluate(self, assign: dict) -> "MultiPoly":
         """Substitute constants for some variables, keeping nvars fixed."""
@@ -268,6 +248,7 @@ class MultiPoly:
                 order = math.lcm(order, v.order)
         vals = {i: _as_coeff(v, order).lift(order) if not isinstance(v, CyclotomicNumber)
                 else v.lift(order) for i, v in assign.items()}
+        pows: dict[tuple[int, int], Coeff] = {}
         terms: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
             c = c.lift(order)
@@ -275,7 +256,10 @@ class MultiPoly:
             for i, val in vals.items():
                 k = e[i]
                 if k:
-                    c = c * val ** k
+                    p = pows.get((i, k))
+                    if p is None:
+                        p = pows[i, k] = val ** k
+                    c = c * p
                     ne[i] = 0
             if not c:
                 continue
@@ -329,9 +313,6 @@ class MultiPoly:
                     piece = piece * power(i, k)
             out = out + piece
         return out
-
-    def rename(self, names) -> "MultiPoly":
-        return MultiPoly(self.nvars, self.order, dict(self.terms), tuple(names))
 
     def coeff_vector(self, monomials) -> list[Coeff]:
         """Coefficients against an explicit monomial list; support must be covered."""

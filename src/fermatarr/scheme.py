@@ -232,11 +232,10 @@ def _integral_vector(vec, order: int):
     """vec scaled to primitive integral coordinates: rational entries as
     ints, the others as CyclotomicNumbers."""
     phi = euler_phi(order)
-    coords = _field_row_to_int(vec, order, phi)
-    if phi == 1:
-        return coords
+    flat = _field_row_to_int(vec, order, phi)
+    chunks = (flat[i:i + phi] for i in range(0, len(flat), phi))
     return tuple(c[0] if not any(c[1:]) else CyclotomicNumber(order, c)
-                 for c in coords)
+                 for c in chunks)
 
 
 def component_rows(flat: Flat, mult: int, d: int, orders: str = "top"):
@@ -286,17 +285,6 @@ def component_rows(flat: Flat, mult: int, d: int, orders: str = "top"):
                 rows.append(tuple([0 if cell is None
                                    else cell[0].get(mu, 0) * cell[1]
                                    for cell in prepared]))
-    return rows
-
-
-def conditions_rows(scheme: FatScheme, d: int):
-    """All condition rows of the scheme in degree d, in canonical order
-    (component, then derivative multi-index, then coefficient index)."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    rows = []
-    for flat, mult in scheme.components:
-        rows.extend(component_rows(flat, mult, d))
     return rows
 
 

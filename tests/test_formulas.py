@@ -21,7 +21,7 @@ from fermatarr.formulas import (
     uniqueness_check,
     verify_family,
 )
-from fermatarr.mpoly import MultiPoly
+from fermatarr.mpoly import MultiPoly, parse_poly
 from fermatarr.scheme import named_configuration
 
 
@@ -72,12 +72,22 @@ def test_symbolic_multiplicities_certified():
     assert symbolic_multiplicity_at_general(b3_quartic()) == (3, True)
     assert symbolic_multiplicity_at_general(quintic_curve()) == (4, True)
     assert symbolic_multiplicity_at_general(sextic_curve()) == (5, True)
-    for m in (5, 6, 7):
+    for m in (5, 6, 7, 11):
         assert symbolic_multiplicity_at_general(fermat_family_curve(m)) \
             == (m + 1, True)
     assert symbolic_multiplicity_at_general(bmss_surface()) == (3, True)
     for n in (3, 4, 5):
         assert symbolic_multiplicity_at_general(mult4_curve(n)) == (4, True)
+
+
+def test_multiplicity_strictly_between_zero_and_claimed():
+    # (b*x - a*y)^2 * z vanishes twice at (a : b : c): every first partial
+    # vanishes there, and d^2/dx^2 leaves 2*b^2*c
+    form = b3_quartic()
+    poly = parse_poly("(b*x - a*y)^2*z", form.poly.names)
+    double = type(form)(form.family, form.config_id, form.point_names,
+                        form.coord_names, 3, form.multiplicity, poly)
+    assert symbolic_multiplicity_at_general(double) == (2, True)
 
 
 def test_mult4_weights_and_ideal_membership():

@@ -111,17 +111,24 @@ def test_parse_poly_rejects_garbage():
 
 
 def test_evaluate_matches_partial_evaluate():
+    # evaluate calls partial_evaluate, so both are checked against the
+    # term-by-term sum, and partial_evaluate also variable 0 first
     rng = random.Random(4)
     for _ in range(40):
         p = _random_poly(rng, 3, 3)
         coords = [CyclotomicNumber.root(3, rng.randrange(3))
                   for _ in range(3)]
-        full = p.evaluate(coords)
-        step = p.partial_evaluate({0: coords[0], 1: coords[1],
-                                   2: coords[2]})
+        want = CyclotomicNumber.zero(3)
+        for e, c in p.terms.items():
+            for x, k in zip(coords, e):
+                c = c * x ** k
+            want = want + c
+        assert p.evaluate(coords) == want
+        step = p.partial_evaluate({0: coords[0]})
+        assert step.degree_in((0,)) == 0
+        step = step.partial_evaluate({1: coords[1], 2: coords[2]})
         assert step.degree() in (None, 0)
-        got = step.terms.get((0, 0, 0), CyclotomicNumber.zero(step.order))
-        assert got == full
+        assert step.terms.get((0, 0, 0), CyclotomicNumber.zero(3)) == want
 
 
 def test_substitute_linear_matches_evaluation():

@@ -7,7 +7,7 @@ from helpers import field_rank_oracle
 
 from fermatarr.arrange import Flat
 from fermatarr.cyclo import CyclotomicNumber
-from fermatarr.interp import random_flat, system_dimension
+from fermatarr.interp import ConditionMatrix, random_flat, system_dimension
 from fermatarr.linalg import Eliminator, rank_of_field_rows
 from fermatarr.mpoly import MultiPoly, ProjPoint, graded_monomials, parse_point
 from fermatarr.scheme import (
@@ -17,7 +17,6 @@ from fermatarr.scheme import (
     conditions_count,
     conditions_count_line,
     conditions_count_line_p3,
-    conditions_rows,
     format_scheme,
     general_point_count,
     named_configuration,
@@ -124,11 +123,11 @@ def test_m3_generator_list_is_truncated():
             elim.add_field_row((g * MultiPoly(3, g.order, {mono: 1})).coeff_vector(cols))
     assert elim.add_field_row(missing.coeff_vector(cols))  # novel direction
     # yet it lies in the ideal: appending it to the condition rows' kernel test
-    mat_rank = rank_of_field_rows(conditions_rows(cfg.scheme, 5), len(cols),
-                                  cfg.scheme.root_order)
+    rows = ConditionMatrix.from_scheme(cfg.scheme, 5).rows
+    mat_rank = rank_of_field_rows(rows, len(cols), cfg.scheme.root_order)
     assert len(cols) - mat_rank == 10
     from fermatarr.linalg import row_dot
-    for row in conditions_rows(cfg.scheme, 5):
+    for row in rows:
         assert row_dot(row, missing.coeff_vector(cols), cfg.scheme.root_order).is_zero()
 
 
@@ -291,7 +290,8 @@ def test_configuration_with_fat_point_matches_blowup_oracle(cid, d, m, rank):
     # one realistic-size system per phi, up to 36 columns and 38 rows
     cfg = named_configuration(cid)
     point = random_flat(random.Random(5), 2, 0)
-    rows = conditions_rows(cfg.scheme, d) + component_rows(point, m, d)
+    rows = ConditionMatrix.from_scheme(cfg.scheme, d).rows \
+        + component_rows(point, m, d)
     ncols = len(graded_monomials(3, d))
     order = cfg.scheme.root_order
     assert rank_of_field_rows(rows, ncols, order) \
