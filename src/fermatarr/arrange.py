@@ -6,10 +6,7 @@ dualizes arrangements to point sets, and closes arrangements under
 intersection to produce derived flats with containment bookkeeping.
 
 Flats are stored by their defining linear equations in reduced row echelon
-form, so equality and hashing are structural.  All flats produced from a
-single arrangement share the arrangement's root order; mixing flats whose
-entries live at different non-rational orders in one hashed collection is
-not supported (same caveat as CyclotomicNumber).
+form, so equality and hashing are structural.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import itertools
 from math import comb, factorial, lcm
 
 from .cyclo import CyclotomicNumber
-from .linalg import kernel_of_rows, row_dot, rref
+from .linalg import kernel_of_rows, kernel_of_rref, row_dot, rref
 from .mpoly import MultiPoly, ProjPoint, default_names
 
 _ZERO = CyclotomicNumber.zero()
@@ -358,8 +355,7 @@ class Flat:
 
     def span_basis(self):
         """A canonical basis of the cone over the flat: dim+1 vectors."""
-        ncols = self.ambient + 1
-        return kernel_of_rows(list(self.equations), ncols, self.order)
+        return kernel_of_rref(self.equations, self.ambient + 1, self.order)
 
     def point(self) -> ProjPoint:
         if self.dim != 0:

@@ -6,9 +6,9 @@ coefficient-wise.  Coefficients are `fractions.Fraction`, hence every
 operation is exact.  Values are immutable; mixed-order operands are lifted
 into Q(e_lcm) automatically.
 
-Hashing uses (order, coeffs) except for rational values, which hash like
-their Fraction.  Do not mix non-rational values of different orders in one
-hashed collection; library code keeps a single order per computation.
+A value hashes as its normalised trace Tr(x)/phi(n), which does not
+depend on the order it is stored at, so equal values of different orders
+hash equal; a rational value hashes like its Fraction.
 """
 from __future__ import annotations
 
@@ -79,6 +79,17 @@ def power_table(n: int) -> tuple[tuple[int, ...], ...]:
             cur = [c + carry * t for c, t in zip(cur, top)]
         rows.append(tuple(cur))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _trace_factors(n: int) -> tuple[Fraction, ...]:
+    """Tr(e_n^k)/phi(n) = mu(m)/phi(m), m = n/gcd(n, k), for k < phi(n).
+
+    mu(m) is minus the sum of the primitive m-th roots, the coefficient of
+    x^(phi(m)-1) in Phi_m."""
+    ms = [n // math.gcd(n, k) for k in range(euler_phi(n))]
+    return tuple(Fraction(-cyclotomic_polynomial(m)[-2], euler_phi(m))
+                 for m in ms)
 
 
 def _mul_coeffs(a: tuple, b: tuple, n: int) -> tuple:
@@ -308,9 +319,8 @@ class CyclotomicNumber:
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        return hash(sum(c * f for c, f in
+                        zip(self.coeffs, _trace_factors(self.order)) if c))
 
     def sort_key(self):
         return self.coeffs

@@ -15,7 +15,7 @@ from math import comb
 
 from .arrange import Flat
 from .cyclo import CyclotomicNumber
-from .linalg import Eliminator
+from .linalg import eliminate
 from .mpoly import MultiPoly, graded_monomials
 from .scheme import (FatScheme, component_rows, conditions_count,
                      plane_point_count)
@@ -68,16 +68,9 @@ def _kernel_polys(vectors, nvars: int, degree: int, order: int):
     return polys
 
 
-def _eliminate(mat: ConditionMatrix) -> Eliminator:
-    elim = Eliminator(mat.ncols, mat.order)
-    for row in mat.rows:
-        elim.add_field_row(row)
-    return elim
-
-
 def rank_kernel(mat: ConditionMatrix):
     """Exact rank and kernel basis (as polynomials) of a condition matrix."""
-    elim = _eliminate(mat)
+    elim = eliminate(mat.rows, mat.ncols, mat.order)
     kernel = _kernel_polys(elim.kernel_basis(), mat.ambient + 1,
                            mat.degree, mat.order)
     return elim.rank, kernel
@@ -87,15 +80,15 @@ def system_dimension(Z: FatScheme, d: int) -> int:
     """Vector-space dimension of degree-d forms vanishing on Z with
     multiplicities."""
     mat = ConditionMatrix.from_scheme(Z, d)
-    return mat.ncols - _eliminate(mat).rank
+    return mat.ncols - eliminate(mat.rows, mat.ncols, mat.order).rank
 
 
 def hilbert_function(Z: FatScheme, d_max: int) -> list:
     """Conditions actually imposed (rank) in each degree 0..d_max."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    return [_eliminate(ConditionMatrix.from_scheme(Z, d)).rank
-            for d in range(d_max + 1)]
+    mats = (ConditionMatrix.from_scheme(Z, d) for d in range(d_max + 1))
+    return [eliminate(mat.rows, mat.ncols, mat.order).rank for mat in mats]
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,7 @@ def decide_unexpected(Z: FatScheme, X_template, d: int, trials: int = 3,
             raise ValueError("template multiplicity must be >= 1")
 
     base_mat = ConditionMatrix.from_scheme(Z, d)
-    base = _eliminate(base_mat)
+    base = eliminate(base_mat.rows, base_mat.ncols, base_mat.order)
     dim_Z = base_mat.ncols - base.rank
 
     conditions_X = sum(conditions_count(N, r, m, d) for r, m in template)

@@ -1,25 +1,37 @@
 """Exact linear algebra over Q(e_n).
 
-Two layers.  The field layer (rref, kernel_of_rows) works directly on
-CyclotomicNumber entries and is meant for small matrices such as flat
-equations.  The Eliminator scales each row to integer coordinates in
-Z[e_n], blows it up into its phi(n) rational copies (the coefficient rows
-of e^0 r, ..., e^(phi-1) r) and runs one fraction-free integer reduction
-with periodic content stripping over them, for every order.  Its rows may
-mix ints with CyclotomicNumbers: the condition rows of a rational flat
-are int-valued, those of a cyclotomic flat hold ints beside
-CyclotomicNumbers.  Row scaling never changes rank or kernel.
+One elimination engine.  The Eliminator scales each row to integer
+coordinates in Z[e_n], blows it up into its phi(n) rational copies (the
+coefficient rows of e^0 r, ..., e^(phi-1) r) and runs one fraction-free
+integer reduction with periodic content stripping over them, for every
+order.  The rank is read off the accepted rows, the canonical RREF over
+Q(e_n) comes from back-substituting them (Eliminator.reduced, rref), and
+every kernel is built from that RREF, one vector per free column.  Rows
+may mix ints and Fractions with CyclotomicNumbers: the condition rows of
+a rational flat are int-valued, those of a cyclotomic flat hold ints
+beside CyclotomicNumbers.  Row scaling never changes rank or kernel.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, euler_phi, power_table
 
 _STRIP_EVERY = 8
 
 
-# -- field-level routines -------------------------------------------------
+def eliminate(rows, ncols: int, order: int) -> Eliminator:
+    """An Eliminator over Q(e_order) fed with the given rows."""
+    elim = Eliminator(ncols, order)
+    for row in rows:
+        elim.add_field_row(row)
+    return elim
+
+
+def rank_of_field_rows(rows, ncols: int, order: int) -> int:
+    return eliminate(rows, ncols, order).rank
+
 
 def rref(rows, ncols: int, order: int):
     """Reduced row echelon form over Q(e_order).
@@ -28,53 +40,27 @@ def rref(rows, ncols: int, order: int):
     below, rows sorted by pivot column.  The result is canonical for the
     row space, so it doubles as a structural key for flats.
     """
-    work = [[(c.lift(order) if isinstance(c, CyclotomicNumber) else CyclotomicNumber.from_rational(c, order)) for c in row] for row in rows]
-    pivot_cols: list[int] = []
-    out: list[list[CyclotomicNumber]] = []
-    for col in range(ncols):
-        pr = None
-        for i, row in enumerate(work):
-            if row[col]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        row = work.pop(pr)
-        inv = row[col].inverse()
-        row = [c * inv for c in row]
-        for other in work:
-            f = other[col]
-            if f:
-                for j in range(col, ncols):
-                    if row[j]:
-                        other[j] = other[j] - f * row[j]
-        for other in out:
-            f = other[col]
-            if f:
-                for j in range(col, ncols):
-                    if row[j]:
-                        other[j] = other[j] - f * row[j]
-        out.append(row)
-        pivot_cols.append(col)
-        if not work:
-            break
-    return pivot_cols, [tuple(r) for r in out]
+    return eliminate(rows, ncols, order).reduced()
 
 
-def kernel_of_rows(rows, ncols: int, order: int):
-    """Basis of {v : row . v = 0 for all rows}, from the canonical RREF."""
-    pivot_cols, red = rref(rows, ncols, order)
-    zero = CyclotomicNumber.zero(order)
-    one = CyclotomicNumber.one(order)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+def kernel_of_rref(red, ncols: int, order: int):
+    """Basis of {v : row . v = 0 for all rows} of rows in canonical RREF,
+    one vector per free column."""
+    pivot_cols = [next(i for i, c in enumerate(row) if c) for row in red]
+    zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
     basis = []
-    for f in free_cols:
+    for f in sorted(set(range(ncols)) - set(pivot_cols)):
         vec = [zero] * ncols
         vec[f] = one
         for pc, row in zip(pivot_cols, red):
             vec[pc] = -row[f]
         basis.append(tuple(vec))
     return basis
+
+
+def kernel_of_rows(rows, ncols: int, order: int):
+    """Basis of {v : row . v = 0 for all rows}, from the canonical RREF."""
+    return kernel_of_rref(rref(rows, ncols, order)[1], ncols, order)
 
 
 def row_dot(row, vec, order: int) -> CyclotomicNumber:
@@ -85,17 +71,15 @@ def row_dot(row, vec, order: int) -> CyclotomicNumber:
     return acc
 
 
-# -- integerized elimination ----------------------------------------------
-
 def _field_row_to_int(row, order: int, phi: int):
-    """Scale a row of ints and CyclotomicNumbers to primitive integer
-    coordinates, returned as one flat list of ncols*phi ints (the phi
-    coefficients of each entry in turn); an int entry is its own first
-    coefficient."""
+    """Scale a row of ints, Fractions and CyclotomicNumbers to primitive
+    integer coordinates, returned as one flat list of ncols*phi ints (the
+    phi coefficients of each entry in turn); an int or Fraction entry is
+    its own first coefficient."""
     pad = (0,) * (phi - 1)
     flat: list = []
     for entry in row:
-        if isinstance(entry, int):
+        if isinstance(entry, (int, Fraction)):
             flat.append(entry)
             flat.extend(pad)
         else:
@@ -139,7 +123,7 @@ def _times_root(vals, top):
 
 
 class Eliminator:
-    """Incremental exact rank (and kernel) of rows over Q(e_order).
+    """Incremental exact rank, canonical RREF and kernel over Q(e_order).
 
     A row r over Z[e_order] is held as the phi rational rows that carry the
     coefficients of e^0 r, ..., e^(phi-1) r, column by column.  Their
@@ -221,26 +205,36 @@ class Eliminator:
             offset += k
         return None
 
-    def kernel_basis(self):
-        """Exact kernel basis over Q(e_order) as coefficient vectors.
+    def reduced(self):
+        """Canonical RREF over Q(e_order) as (pivot_cols, rows).
 
         The accepted rows span a Q(e)-invariant space, whose rational
-        leads fill whole phi-chunks; the pivots that start a chunk are
-        therefore one row per field pivot column, a Q(e)-basis of the
-        row space."""
-        phi, order = self.phi, self.order
-        rows = []
-        for pc in sorted(self._pivots):
-            if pc % phi:
+        leads fill whole phi-chunks.  A pivot that starts a chunk, cleared
+        fraction-free at every later lead column, is therefore the unit
+        row of one field pivot column with zeros at all the others."""
+        phi, order, pivots = self.phi, self.order, self._pivots
+        leads = sorted(pivots)
+        pivot_cols, out = [], []
+        for i, lead in enumerate(leads):
+            if lead % phi:
                 continue
-            full = [0] * pc + list(self._pivots[pc])
-            rows.append([CyclotomicNumber(order, full[i:i + phi])
-                         for i in range(0, len(full), phi)])
-        return kernel_of_rows(rows, self.ncols, order)
+            row = pivots[lead]
+            for j in leads[i + 1:]:
+                k = j - lead
+                e = row[k]
+                if e:
+                    prow = pivots[j]
+                    p = prow[0]
+                    row = _strip([p * x for x in row[:k]]
+                                 + [p * x - e * y
+                                    for x, y in zip(row[k:], prow)])
+            den = row[0]
+            full = [0] * lead + [Fraction(x, den) for x in row]
+            pivot_cols.append(lead // phi)
+            out.append(tuple(CyclotomicNumber(order, full[s:s + phi])
+                             for s in range(0, len(full), phi)))
+        return pivot_cols, out
 
-
-def rank_of_field_rows(rows, ncols: int, order: int) -> int:
-    elim = Eliminator(ncols, order)
-    for r in rows:
-        elim.add_field_row(r)
-    return elim.rank
+    def kernel_basis(self):
+        """Exact kernel basis over Q(e_order) as coefficient vectors."""
+        return kernel_of_rref(self.reduced()[1], self.ncols, self.order)

@@ -110,7 +110,19 @@ def test_derived_counts_42_lines(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["result"]["flat_count"] == 42
-    assert len(record["result"]["flats"]) == 42
+    flats = record["result"]["flats"]
+    assert len(flats) == 42
+    # the canonical RREF equations, pinned in text
+    assert flats[0] == "flat { eq: x2, x3 }"
+    assert flats[-1] == "flat { eq: x0 + (1 + e(3))*x2, x1 + (1 + e(3))*x2 }"
+    code, out, _ = run(capsys, "derived", "--spec", "A(3,0,5)",
+                       "--flat-dim", "0", "--min-count", "3",
+                       "--format", "structured")
+    assert code == 0
+    points = json.loads(out)["result"]["flats"]
+    s = "-1 - e(5) - e(5)^2 - e(5)^3"
+    assert points[0] == "point (1 : 0 : 0)"
+    assert points[-1] == f"point ({s} : {s} : 1)"
 
 
 def test_dimension_command(capsys, tmp_path):

@@ -100,6 +100,18 @@ def test_root_has_exact_multiplicative_order():
             assert _multiplicative_order(eps * eps) == n // math.gcd(n, 2)
 
 
+def test_equal_values_of_different_orders_hash_equal():
+    rng = random.Random(31)
+    for order in ORDERS:
+        values = [CyclotomicNumber.root(order, k) for k in range(order)]
+        values += [_random_element(rng, order) for _ in range(20)]
+        for a in values:
+            lifts = [a.lift(order * t) for t in (2, 3)]
+            assert all(b == a for b in lifts)
+            assert len({hash(a), *map(hash, lifts)}) == 1
+            assert len({a, *lifts}) == 1
+
+
 def test_mixed_order_arithmetic_lifts():
     a = CyclotomicNumber.root(3)
     b = CyclotomicNumber.root(4)

@@ -152,6 +152,24 @@ def test_rref_canonical_shape():
     assert pivots2 == pivots
     assert all(tuple(a.lift(12) for a in r1) == tuple(b.lift(12) for b in r2)
                for r1, r2 in zip(red, red2))
+    # same row space: stacking the rref under the rows keeps the rank
+    assert field_rank_oracle(rows + red, order) == field_rank_oracle(rows, order)
+    # the same rows lifted to a larger order reduce to equal rows
+    rows3 = _random_matrix(rng, 4, ncols, 3)
+    red3 = rref(rows3, ncols, 3)
+    for big in (6, 12):
+        lifted = [[v.lift(big) for v in row] for row in rows3]
+        assert rref(lifted, ncols, big) == red3
+    # reducing a clone leaves the pivots it shares with its base alone
+    base = Eliminator(ncols, order)
+    for row in rows[:2]:
+        base.add_field_row(row)
+    before = base.kernel_basis()
+    fork = base.clone()
+    for row in _random_matrix(rng, 3, ncols, order):
+        fork.add_field_row(row)
+    fork.reduced()
+    assert base.kernel_basis() == before
 
 
 def test_rational_rows_order_one_path():
@@ -159,6 +177,10 @@ def test_rational_rows_order_one_path():
     rows = [[CyclotomicNumber.from_rational(rng.randint(-4, 4))
              for _ in range(5)] for _ in range(7)]
     assert rank_of_field_rows(rows, 5, 1) == field_rank_oracle(rows, 1)
+    # a Fraction entry is its own first coefficient, as an int entry is
+    mixed = [[Fraction(1, 2), 1, 0]]
+    assert rank_of_field_rows(mixed, 3, 1) == field_rank_oracle(mixed, 1) == 1
+    assert rref(mixed, 3, 1) == ([0], [(1, 2, 0)])
 
 
 def test_wide_matrix_oracle_agreement():
