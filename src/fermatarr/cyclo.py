@@ -6,9 +6,9 @@ coefficient-wise.  Coefficients are `fractions.Fraction`, hence every
 operation is exact.  Values are immutable; mixed-order operands are lifted
 into Q(e_lcm) automatically.
 
-A value hashes as its normalised trace Tr(x)/phi(n), which does not
-depend on the order it is stored at, so equal values of different orders
-hash equal; a rational value hashes like its Fraction.
+A value hashes as (order, coeffs) at its minimal order, the least m with
+the value in Q(e_m), so equal values of different orders hash equal; a
+rational value hashes like its Fraction.
 """
 from __future__ import annotations
 
@@ -82,14 +82,48 @@ def power_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _trace_factors(n: int) -> tuple[Fraction, ...]:
-    """Tr(e_n^k)/phi(n) = mu(m)/phi(m), m = n/gcd(n, k), for k < phi(n).
+def _primes(n: int) -> tuple[int, ...]:
+    return tuple(p for p in range(2, n + 1)
+                 if n % p == 0 and all(p % q for q in range(2, p)))
 
-    mu(m) is minus the sum of the primitive m-th roots, the coefficient of
-    x^(phi(m)-1) in Phi_m."""
-    ms = [n // math.gcd(n, k) for k in range(euler_phi(n))]
-    return tuple(Fraction(-cyclotomic_polynomial(m)[-2], euler_phi(m))
-                 for m in ms)
+
+@lru_cache(maxsize=None)
+def _subfield_solver(n: int, p: int):
+    """Sparse (solve, lifts) for membership in Q(e_(n/p)) inside Q(e_n).
+
+    lifts[j] lists the nonzero (t, c) of e_n^(j*p), j < phi(n/p); solve[j]
+    lists the (t, c) with sum c*x[t] the j-th coordinate of x over those
+    lifts, read off pivot coordinates where the lifts are invertible."""
+    dense = power_table(n)[:p * euler_phi(n // p):p]
+    k = len(dense)
+    rows = [[Fraction(v) for v in lift] + [Fraction(int(i == j)) for j in range(k)]
+            for i, lift in enumerate(dense)]
+    cols = []
+    for i in range(k):
+        col = next(c for c, v in enumerate(rows[i][:-k]) if v)
+        rows[i] = [v / rows[i][col] for v in rows[i]]
+        for j in range(k):
+            if j != i and rows[j][col]:
+                f = rows[j][col]
+                rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+        cols.append(col)
+    solve = tuple(tuple((c, row[-k + j]) for c, row in zip(cols, rows) if row[-k + j])
+                  for j in range(k))
+    lifts = tuple(tuple((t, v) for t, v in enumerate(lift) if v) for lift in dense)
+    return solve, lifts
+
+
+def _descend(coeffs: tuple, n: int, p: int):
+    """Coefficients in Q(e_(n/p)) of the value coeffs of Q(e_n), or None
+    when it does not lie there."""
+    solve, lifts = _subfield_solver(n, p)
+    sub = tuple(sum(coeffs[t] * c for t, c in terms) for terms in solve)
+    image = [0] * len(coeffs)
+    for a, terms in zip(sub, lifts):
+        if a:
+            for t, c in terms:
+                image[t] += a * c
+    return sub if image == list(coeffs) else None
 
 
 def _mul_coeffs(a: tuple, b: tuple, n: int) -> tuple:
@@ -319,8 +353,16 @@ class CyclotomicNumber:
         return NotImplemented
 
     def __hash__(self):
-        return hash(sum(c * f for c, f in
-                        zip(self.coeffs, _trace_factors(self.order)) if c))
+        order, coeffs = self.order, self.coeffs
+        while any(coeffs[1:]):
+            for p in _primes(order):
+                sub = _descend(coeffs, order, p)
+                if sub is not None:
+                    order, coeffs = order // p, sub
+                    break
+            else:
+                return hash((order, coeffs))
+        return hash(coeffs[0])
 
     def sort_key(self):
         return self.coeffs

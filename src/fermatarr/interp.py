@@ -29,14 +29,10 @@ class DegenerateDrawError(RuntimeError):
 
 
 class ConditionMatrix:
-    """Condition rows of a scheme in one degree, with per-row provenance.
+    """Condition rows of a scheme in one degree, component by component;
+    columns are the degree-d monomials of P^N in graded lex order."""
 
-    Columns are the degree-d monomials of P^N in graded lex order; the
-    provenance entry of a row is the index of the scheme component that
-    produced it.
-    """
-
-    __slots__ = ("ambient", "degree", "ncols", "order", "rows", "provenance")
+    __slots__ = ("ambient", "degree", "ncols", "order", "rows")
 
     def __init__(self, ambient: int, degree: int, order: int = 1):
         self.ambient = ambient
@@ -44,19 +40,13 @@ class ConditionMatrix:
         self.ncols = comb(ambient + degree, ambient)
         self.order = order
         self.rows = []
-        self.provenance = []
 
     @classmethod
     def from_scheme(cls, scheme: FatScheme, degree: int) -> "ConditionMatrix":
         mat = cls(scheme.ambient, degree, scheme.root_order)
-        for idx, (flat, mult) in enumerate(scheme.components):
-            rows = component_rows(flat, mult, degree)
-            mat.rows.extend(rows)
-            mat.provenance.extend([idx] * len(rows))
+        for flat, mult in scheme.components:
+            mat.rows.extend(component_rows(flat, mult, degree))
         return mat
-
-    def __len__(self):
-        return len(self.rows)
 
 
 def _kernel_polys(vectors, nvars: int, degree: int, order: int):

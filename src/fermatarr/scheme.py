@@ -4,8 +4,8 @@ A FatScheme is a list of (flat, multiplicity) components in P^N.  Vanishing
 to order m along a flat is encoded by the order-(m-1) partial derivatives
 of the generic degree-d form, restricted to a parametrization of the flat:
 in characteristic 0 the Euler identity makes the top-order partials
-sufficient, which the test suite checks against the all-orders encoding
-rather than assuming.
+sufficient, and conditions_count independent ones are kept, which the
+test suite checks against jets in coordinates adapted to the flat.
 
 Named configurations ship the published ideal generators where available,
 used as cross-checks against the first-principles construction.
@@ -238,53 +238,59 @@ def _integral_vector(vec, order: int):
                  for c in chunks)
 
 
-def component_rows(flat: Flat, mult: int, d: int, orders: str = "top"):
-    """Condition rows for one (flat, multiplicity) component in degree d.
+def _free_columns(flat: Flat):
+    """The non-pivot columns of flat.equations, ascending."""
+    pivots = {next(i for i, c in enumerate(row) if c) for row in flat.equations}
+    return [i for i in range(flat.ambient + 1) if i not in pivots]
 
-    orders="top" emits the order-(mult-1) partials only (the encoding used
-    everywhere); orders="all" emits every order < mult, for the Euler
-    equivalence check.  When d < mult-1 no nonzero degree-d form satisfies
-    the component, so the rows span the full coefficient space.
 
-    The flat is parametrized by its span basis scaled to integral
-    coordinates, so the rows of a rational flat hold only ints, and those
-    of a cyclotomic flat hold ints beside CyclotomicNumbers.  Scaling a
-    basis vector by c multiplies each row by a power product of the c's,
-    which changes no rank, dimension or kernel.
+def component_rows(flat: Flat, mult: int, d: int):
+    """Condition rows for one (flat, multiplicity) component in degree d:
+    exactly conditions_count(N, flat.dim, mult, d) rows, all independent.
+
+    A row is the coefficient of s^mu in the order-k partial d^beta of the
+    column monomials restricted to x = sum_t s_t*b_t, k = min(mult, d+1)-1.
+    The span basis vector b_t has its unit at free[t], the t-th non-pivot
+    column of flat.equations.  Only rows with mu[:last] = 0 are kept, last
+    being the largest t with beta[free[t]] > 0 (else 0): in coordinates
+    adapted to the flat they are triangular in the jets of normal order
+    below mult, and span them.  Points and mult = 1 keep every row; for
+    d < mult-1 the rows gamma!*e_gamma leave no form.
+
+    The basis is scaled to integral coordinates, so the rows of a rational
+    flat hold only ints, and those of a cyclotomic flat hold ints beside
+    CyclotomicNumbers.  Scaling b_t by c multiplies each row by a power
+    product of the c's, which changes no rank, dimension or kernel.
     """
-    if orders not in ("top", "all"):
-        raise ValueError("orders must be 'top' or 'all'")
     nvars = flat.ambient + 1
     cols = graded_monomials(nvars, d)
-    if d < mult - 1:
-        rows = []
-        for j in range(len(cols)):
-            row = [0] * len(cols)
-            row[j] = 1
-            rows.append(tuple(row))
-        return rows
-    order_list = [mult - 1] if orders == "top" else list(range(mult - 1, -1, -1))
-    basis = [_integral_vector(vec, flat.order) for vec in flat.span_basis()]
+    k = min(mult, d + 1) - 1
     svars = flat.dim + 1
+    # a point keeps every row, so only a positive-dimensional flat needs free
+    free = _free_columns(flat) if flat.dim else ()
+    basis = [_integral_vector(vec, flat.order) for vec in flat.span_basis()]
+    expos = _restriction_expansions(basis, nvars, svars, d - k)
+    smonos = graded_monomials(svars, d - k)
+    kept = [[mu for mu in smonos if not any(mu[:last])]
+            for last in range(svars)]
+    index = {alpha: j for j, alpha in enumerate(cols)}
     rows = []
-    for k in order_list:
-        expos = _restriction_expansions(basis, nvars, svars, d - k)
-        smonos = graded_monomials(svars, d - k)
-        for beta in graded_monomials(nvars, k):
-            prepared = []
-            for alpha in cols:
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                if any(g < 0 for g in gamma):
-                    prepared.append(None)
-                    continue
-                scale = 1
-                for a, b in zip(alpha, beta):
-                    scale *= perm(a, b)
-                prepared.append((expos[gamma], scale))
-            for mu in smonos:
-                rows.append(tuple([0 if cell is None
-                                   else cell[0].get(mu, 0) * cell[1]
-                                   for cell in prepared]))
+    for beta in graded_monomials(nvars, k):
+        last = 0
+        for t, i in enumerate(free):
+            if beta[i]:
+                last = t
+        prepared = [None] * len(cols)
+        for gamma, expansion in expos.items():
+            alpha = tuple(b + g for b, g in zip(beta, gamma))
+            scale = 1
+            for a, b in zip(alpha, beta):
+                scale *= perm(a, b)
+            prepared[index[alpha]] = (expansion, scale)
+        for mu in kept[last]:
+            rows.append(tuple([0 if cell is None
+                               else cell[0].get(mu, 0) * cell[1]
+                               for cell in prepared]))
     return rows
 
 

@@ -1,5 +1,8 @@
 """Shared independent oracles for the test suite.
 
+The chart oracle writes the condition rows of a fat flat from their
+definition, in coordinates adapted to the flat.
+
 The rank oracle avoids the library's elimination engine entirely: a matrix
 over Q(e_n) is expanded entrywise into phi(n) x phi(n) rational blocks of
 the regular representation, and the rank of the blown-up matrix is found by
@@ -10,6 +13,7 @@ field, rank_Q(blowup(M)) = phi(n) * rank_{Q(e_n)}(M).
 from fractions import Fraction
 
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
+from fermatarr.mpoly import MultiPoly, graded_monomials
 
 
 def regular_block(value: CyclotomicNumber):
@@ -69,3 +73,19 @@ def field_rank_oracle(field_rows, order: int) -> int:
     phi = euler_phi(order)
     assert r % phi == 0, "blow-up rank must be divisible by phi"
     return r // phi
+
+
+def chart_rows(flat, m: int, d: int):
+    """Condition rows of a multiplicity-m flat on degree-d forms, by
+    definition: substitute x = sum_t s_t*b_t + sum_j u_j*e_j, with b_t the
+    span basis and j over the pivot columns of flat.equations, into each
+    column monomial, and keep the coefficients of u^beta*s^mu, |beta| < m."""
+    nvars = flat.ambient + 1
+    basis = flat.span_basis()
+    pivots = [next(i for i, c in enumerate(row) if c) for row in flat.equations]
+    matrix = [[b[i] for b in basis] + [int(i == j) for j in pivots]
+              for i in range(nvars)]
+    images = [MultiPoly(nvars, flat.order, {alpha: 1}).substitute_linear(matrix)
+              for alpha in graded_monomials(nvars, d)]
+    return [tuple(img.terms.get(e, 0) for img in images)
+            for e in graded_monomials(nvars, d) if sum(e[len(basis):]) < m]

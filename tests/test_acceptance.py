@@ -201,7 +201,8 @@ def test_criterion_10_conditions_count_oracle():
                         rows = component_rows(fl, m, d)
                         ncols = len(graded_monomials(N + 1, d))
                         rank = rank_of_field_rows(rows, ncols, 1)
-                        assert rank == conditions_count(N, r, m, d), (N, r, m, d)
+                        assert len(rows) == rank == conditions_count(N, r, m, d), \
+                            (N, r, m, d)
 
         # the specialized closed forms disagree with the exact count below
         # the d >= m-1 threshold; report every instance on the same grid

@@ -14,6 +14,7 @@ from fermatarr.cyclo import (
     parse_cyclo,
     power_table,
 )
+from fermatarr.scheme import named_configuration
 
 ORDERS = (1, 2, 3, 4, 5, 6)
 
@@ -110,6 +111,17 @@ def test_equal_values_of_different_orders_hash_equal():
             assert all(b == a for b in lifts)
             assert len({hash(a), *map(hash, lifts)}) == 1
             assert len({a, *lifts}) == 1
+
+
+def test_points_of_non_squarefree_orders_have_distinct_hashes():
+    # at orders 8 and 16 a trace vanishes on every primitive root and
+    # agrees on Galois conjugates; the hash must still separate the points
+    for n in (8, 16):
+        flats = [fl for fl, _ in
+                 named_configuration(f"MULT4_POINTS({n})").scheme.components]
+        assert len(flats) == n * n + 3
+        assert len({hash(fl) for fl in flats}) == len(flats)
+        assert len({hash(fl.point()) for fl in flats}) == len(flats)
 
 
 def test_mixed_order_arithmetic_lifts():

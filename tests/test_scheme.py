@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from helpers import field_rank_oracle
+from helpers import chart_rows, field_rank_oracle
 
 from fermatarr.arrange import Flat
 from fermatarr.cyclo import CyclotomicNumber
@@ -185,26 +185,26 @@ def test_conditions_count_validates_inputs():
 
 # -- condition rows ----------------------------------------------------------
 
-def _kernel_rank_pair(rows, ncols, order):
-    rank = rank_of_field_rows(rows, ncols, order)
-    return rank, ncols - rank
-
-
-def test_top_order_rows_match_all_order_rows():
-    # Euler: on homogeneous forms the top-order partials vanishing on the
-    # flat force all lower orders, so both encodings have equal rank.
-    line = Flat.from_span([(1, 0, 0, 1), (0, 1, 1, 0)])
-    ncols = len(graded_monomials(4, 4))
-    top = component_rows(line, 3, 4, orders="top")
-    allr = component_rows(line, 3, 4, orders="all")
-    assert len(allr) > len(top)
-    assert _kernel_rank_pair(top, ncols, 1) == _kernel_rank_pair(allr, ncols, 1)
-
-    pt = Flat.from_point(parse_point("(1:2:-1)"))
-    ncols2 = len(graded_monomials(3, 5))
-    top2 = component_rows(pt, 4, 5, orders="top")
-    all2 = component_rows(pt, 4, 5, orders="all")
-    assert _kernel_rank_pair(top2, ncols2, 1) == _kernel_rank_pair(all2, ncols2, 1)
+def test_component_rows_are_independent_and_span_the_chart_rows():
+    # chart_rows are the jets of normal order < m in coordinates adapted to
+    # the flat; component_rows must be conditions_count independent rows
+    # with the same span
+    rng = random.Random(17)
+    cases = [(random_flat(rng, N, r, box=5), m, d)
+             for N in (1, 2, 3) for r in range(N)
+             for m in (1, 2, 3) for d in range(6)]
+    lines = named_configuration("LINES42").scheme.components[:2]
+    points = named_configuration("MULT4_POINTS(5)").scheme.components[-2:]
+    cases += [(fl, m, d) for fl, _ in lines + points
+              for m in (1, 2, 3) for d in range(6)]
+    for flat, m, d in cases:
+        count = conditions_count(flat.ambient, flat.dim, m, d)
+        ncols = len(graded_monomials(flat.ambient + 1, d))
+        rows = component_rows(flat, m, d)
+        chart = chart_rows(flat, m, d)
+        assert len(chart) == count
+        assert len(rows) == rank_of_field_rows(rows, ncols, flat.order) == count
+        assert rank_of_field_rows(rows + chart, ncols, flat.order) == count
 
 
 def test_low_degree_components_kill_everything():
@@ -257,7 +257,7 @@ def test_rational_rows_are_int_valued_and_match_blowup_oracle():
         ncols = len(graded_monomials(N + 1, d))
         rank = rank_of_field_rows(rows, ncols, 1)
         assert rank == field_rank_oracle(rows, 1)
-        assert rank == (ncols if d < m - 1 else conditions_count(N, flat.dim, m, d))
+        assert len(rows) == rank == conditions_count(N, flat.dim, m, d)
 
 
 def test_cyclotomic_point_rows_match_blowup_oracle():
@@ -296,12 +296,6 @@ def test_configuration_with_fat_point_matches_blowup_oracle(cid, d, m, rank):
     order = cfg.scheme.root_order
     assert rank_of_field_rows(rows, ncols, order) \
         == field_rank_oracle(rows, order) == rank
-
-
-def test_component_rows_rejects_bad_orders_flag():
-    pt = Flat.from_point(parse_point("(1:0:0)"))
-    with pytest.raises(ValueError):
-        component_rows(pt, 2, 3, orders="some")
 
 
 # -- scheme construction and the file format ---------------------------------
