@@ -8,7 +8,6 @@ from .arrange import (
     Arrangement,
     Flat,
     GroupElement,
-    Hyperplane,
     derived_flats,
     dual_points,
     fermat_arrangement,

@@ -16,7 +16,7 @@ from math import comb, factorial, lcm
 
 from .cyclo import CyclotomicNumber
 from .linalg import kernel_of_rows, kernel_of_rref, row_dot, rref
-from .mpoly import MultiPoly, ProjPoint, default_names
+from .mpoly import MultiPoly, ProjPoint
 
 _ZERO = CyclotomicNumber.zero()
 _ONE = CyclotomicNumber.one()
@@ -50,68 +50,11 @@ def _row_key(row):
     return tuple(_cyc_key(v) for v in row)
 
 
-class Hyperplane:
-    """A hyperplane in P^N, stored as a normalized coefficient vector.
-
-    The form (c0, ..., cN) encodes the linear polynomial sum(ci * xi).
-    Forms are scaled so the first nonzero coefficient is 1, making
-    equality and hashing structural.
-    """
-
-    __slots__ = ("form",)
-
-    def __init__(self, form):
-        coeffs = tuple(_as_cyclo(c) for c in form)
-        lead = next((c for c in coeffs if not c.is_zero()), None)
-        if lead is None:
-            raise ValueError("hyperplane form must be nonzero")
-        inv = lead.inverse()
-        object.__setattr__(self, "form", tuple(inv * c for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hyperplane is immutable")
-
-    @property
-    def ambient(self) -> int:
-        return len(self.form) - 1
-
-    def linear_form(self, names=None) -> MultiPoly:
-        nvars = len(self.form)
-        poly = MultiPoly.zero(nvars, names=names)
-        for i, c in enumerate(self.form):
-            if not c.is_zero():
-                poly = poly + MultiPoly.variable(i, nvars, names=names) * c
-        return poly
-
-    def contains(self, point: ProjPoint) -> bool:
-        return row_dot(self.form, point.coords, 1).is_zero()
-
-    def dual_point(self) -> ProjPoint:
-        return ProjPoint(self.form)
-
-    def as_flat(self) -> "Flat":
-        return Flat.from_equations([self.form])
-
-    def sort_key(self):
-        return _row_key(self.form)
-
-    def __eq__(self, other):
-        if not isinstance(other, Hyperplane):
-            return NotImplemented
-        return self.form == other.form
-
-    def __hash__(self):
-        return hash(self.form)
-
-    def __str__(self):
-        return str(self.linear_form())
-
-    def __repr__(self):
-        return f"Hyperplane({self})"
-
-
 class Arrangement:
-    """A finite set of distinct hyperplanes of the Fermat family in P^N."""
+    """A finite set of distinct hyperplanes of the Fermat family in P^N.
+
+    Each hyperplane is a codimension-1 Flat; its one RREF row, led by 1,
+    is the linear form defining it."""
 
     __slots__ = ("N", "n", "k", "hyperplanes")
 
@@ -133,7 +76,7 @@ class Arrangement:
     def defining_polynomial(self, names=None) -> MultiPoly:
         poly = MultiPoly.constant(1, self.N + 1, names=names)
         for h in self.hyperplanes:
-            poly = poly * h.linear_form(names)
+            poly = poly * h.equation_polys(names)[0]
         return poly
 
     def __repr__(self):
@@ -156,15 +99,14 @@ def fermat_arrangement(N: int, n: int, k: int) -> Arrangement:
     for i in range(k + 1):
         form = [_ZERO] * (N + 1)
         form[i] = _ONE
-        hyps.append(Hyperplane(form))
-    eps = CyclotomicNumber.root(n)
+        hyps.append(Flat.from_equations([form]))
     for i in range(N + 1):
         for j in range(i + 1, N + 1):
             for a in range(n):
                 form = [_ZERO] * (N + 1)
                 form[i] = _ONE
-                form[j] = -(eps ** a)
-                hyps.append(Hyperplane(form))
+                form[j] = -CyclotomicNumber.root(n, a)
+                hyps.append(Flat.from_equations([form]))
     arr = Arrangement(N, n, k, hyps)
     assert len(arr) == n * comb(N + 1, 2) + k + 1
     return arr
@@ -269,7 +211,7 @@ def reflections_of(group) -> list:
     of g - I is then the linear form of the fixed hyperplane.  Results are
     deduplicated and canonically sorted.
     """
-    seen = {}
+    seen = set()
     for g in group:
         size = g.size
         rows = []
@@ -281,19 +223,13 @@ def reflections_of(group) -> list:
         _, echelon = rref(rows, size, order)
         if len(echelon) != 1:
             continue
-        h = Hyperplane(echelon[0])
-        seen.setdefault(h.sort_key(), h)
-    return [seen[key] for key in sorted(seen)]
+        seen.add(Flat.from_equations(echelon))
+    return sorted(seen, key=Flat.sort_key)
 
 
 def dual_points(arr: Arrangement) -> list:
     """The point of the dual space carried by each hyperplane's form."""
-    return [h.dual_point() for h in arr.hyperplanes]
-
-
-def hyperplane_from_point(point: ProjPoint) -> Hyperplane:
-    """Inverse of dual_points on a single point."""
-    return Hyperplane(point.coords)
+    return [ProjPoint(h.equations[0]) for h in arr.hyperplanes]
 
 
 class Flat:
@@ -411,7 +347,7 @@ def containing_hyperplanes(arr: Arrangement, fl: Flat) -> list:
     """Arrangement hyperplanes whose form vanishes on the whole flat."""
     basis = fl.span_basis()
     return [h for h in arr.hyperplanes
-            if all(row_dot(h.form, vec, 1).is_zero() for vec in basis)]
+            if all(row_dot(h.equations[0], vec, 1).is_zero() for vec in basis)]
 
 
 def lattice_membership(arr: Arrangement, fl: Flat):
@@ -421,9 +357,9 @@ def lattice_membership(arr: Arrangement, fl: Flat):
     count = len(containing)
     if not containing:
         return False, 0
-    meet = containing[0].as_flat()
+    meet = containing[0]
     for h in containing[1:]:
-        meet = meet.meet(h.as_flat())
+        meet = meet.meet(h)
         if meet is None:
             return False, count
     return meet == fl, count
@@ -441,13 +377,12 @@ def derived_flats(arr: Arrangement, t: int, min_hyperplanes: int) -> list:
         raise ValueError("t must be in 0..N-1")
     if min_hyperplanes < 2:
         raise ValueError("min_hyperplanes must be >= 2")
-    hyp_flats = [h.as_flat() for h in arr.hyperplanes]
-    current = set(hyp_flats)
+    current = set(arr.hyperplanes)
     level = N - 1
     while level > t:
         nxt = set()
         for fl in current:
-            for hf in hyp_flats:
+            for hf in arr.hyperplanes:
                 m = fl.meet(hf)
                 if m is not None and m.dim == level - 1:
                     nxt.add(m)

@@ -18,7 +18,6 @@ from . import __version__
 from .arrange import derived_flats, dual_points, format_spec, parse_spec
 from .formulas import build_formula, verify_family
 from .interp import decide_unexpected, hilbert_function, system_dimension
-from .mpoly import format_point
 from .render import (DEFAULT_GRID, DEFAULT_VIEWPORT, real_line_coefficients,
                      render_svg)
 from .scheme import named_configuration, parse_scheme, verify_published_generators
@@ -192,7 +191,7 @@ def _parse_viewport(text: str | None):
 
 def cmd_arrangement(args):
     arr = _arrangement(args.spec)
-    forms = [str(h) for h in arr.hyperplanes]
+    forms = [str(h.equation_polys()[0]) for h in arr.hyperplanes]
     params = {"spec": format_spec(arr)}
     result = {"hyperplane_count": len(forms), "hyperplanes": forms}
     text = [f"arrangement {params['spec']}", f"hyperplanes {len(forms)}"]
@@ -202,7 +201,7 @@ def cmd_arrangement(args):
 
 def cmd_dual(args):
     arr = _arrangement(args.spec)
-    pts = [format_point(p) for p in dual_points(arr)]
+    pts = [str(p) for p in dual_points(arr)]
     params = {"spec": format_spec(arr)}
     result = {"point_count": len(pts), "points": pts}
     text = [f"dual points of {params['spec']}: {len(pts)}"]
@@ -220,7 +219,7 @@ def cmd_derived(args):
     listing = []
     for fl in flats:
         if fl.dim == 0:
-            listing.append(f"point {format_point(fl.point())}")
+            listing.append(f"point {fl.point()}")
         else:
             eqs = ", ".join(str(p) for p in fl.equation_polys())
             listing.append(f"flat {{ eq: {eqs} }}")

@@ -87,13 +87,26 @@ def _primes(n: int) -> tuple[int, ...]:
                  if n % p == 0 and all(p % q for q in range(2, p)))
 
 
+def _image(coeffs, n: int, k: int) -> list:
+    """Coefficients in Q(e_n) of sum_j coeffs[j] * e_n^(j*k)."""
+    tab = power_table(n)
+    acc = [_ZERO] * euler_phi(n)
+    for j, c in enumerate(coeffs):
+        if c:
+            row = tab[j * k % n]
+            for t, v in enumerate(row):
+                if v:
+                    acc[t] += c * v
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _subfield_solver(n: int, p: int):
-    """Sparse (solve, lifts) for membership in Q(e_(n/p)) inside Q(e_n).
+    """Sparse solve data for membership in Q(e_(n/p)) inside Q(e_n).
 
-    lifts[j] lists the nonzero (t, c) of e_n^(j*p), j < phi(n/p); solve[j]
-    lists the (t, c) with sum c*x[t] the j-th coordinate of x over those
-    lifts, read off pivot coordinates where the lifts are invertible."""
+    solve[j] lists the (t, c) with sum c*x[t] the j-th coordinate of x
+    over the lifts e_n^(j*p), j < phi(n/p), read off pivot coordinates
+    where the lifts are invertible."""
     dense = power_table(n)[:p * euler_phi(n // p):p]
     k = len(dense)
     rows = [[Fraction(v) for v in lift] + [Fraction(int(i == j)) for j in range(k)]
@@ -107,23 +120,16 @@ def _subfield_solver(n: int, p: int):
                 f = rows[j][col]
                 rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
         cols.append(col)
-    solve = tuple(tuple((c, row[-k + j]) for c, row in zip(cols, rows) if row[-k + j])
-                  for j in range(k))
-    lifts = tuple(tuple((t, v) for t, v in enumerate(lift) if v) for lift in dense)
-    return solve, lifts
+    return tuple(tuple((c, row[-k + j]) for c, row in zip(cols, rows) if row[-k + j])
+                 for j in range(k))
 
 
 def _descend(coeffs: tuple, n: int, p: int):
     """Coefficients in Q(e_(n/p)) of the value coeffs of Q(e_n), or None
     when it does not lie there."""
-    solve, lifts = _subfield_solver(n, p)
-    sub = tuple(sum(coeffs[t] * c for t, c in terms) for terms in solve)
-    image = [0] * len(coeffs)
-    for a, terms in zip(sub, lifts):
-        if a:
-            for t, c in terms:
-                image[t] += a * c
-    return sub if image == list(coeffs) else None
+    sub = tuple(sum(coeffs[t] * c for t, c in terms)
+                for terms in _subfield_solver(n, p))
+    return sub if _image(sub, n, p) == list(coeffs) else None
 
 
 def _mul_coeffs(a: tuple, b: tuple, n: int) -> tuple:
@@ -146,59 +152,6 @@ def _mul_coeffs(a: tuple, b: tuple, n: int) -> tuple:
                 if row[t]:
                     res[t] += ck * row[t]
     return tuple(res)
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [_ZERO] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i]
-        if c:
-            f = c / lead
-            q[i - len(den) + 1] = f
-            for j, dj in enumerate(den):
-                num[i - len(den) + 1 + j] -= f * dj
-    return q, _poly_trim(num)
-
-
-def _inv_coeffs(a: tuple, n: int) -> tuple:
-    """Inverse of a nonzero element via the extended Euclidean algorithm."""
-    phi = len(a)
-    if phi == 1:
-        return (1 / a[0],)
-    r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    r1 = _poly_trim([Fraction(c) for c in a])
-    t0: list[Fraction] = []
-    t1: list[Fraction] = [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = [_ZERO] * (len(q) + len(t1) - 1) if q and t1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, tj in enumerate(t1):
-                    if tj:
-                        prod[i + j] += qi * tj
-        nt = [_ZERO] * max(len(t0), len(prod))
-        for i, c in enumerate(t0):
-            nt[i] += c
-        for i, c in enumerate(prod):
-            nt[i] -= c
-        t0, t1 = t1, _poly_trim(nt)
-    # r0 is the gcd, a nonzero constant since Phi_n is irreducible
-    g = r0[0]
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    inv = [c / g for c in t0]
-    inv += [_ZERO] * (phi - len(inv))
-    return tuple(inv[:phi])
 
 
 class CyclotomicNumber:
@@ -234,9 +187,8 @@ class CyclotomicNumber:
     @classmethod
     def root(cls, order: int, k: int = 1) -> "CyclotomicNumber":
         """The root of unity e_order^k in canonical form."""
-        k %= order
-        row = power_table(order)[k]
-        return cls(order, row)
+        table = power_table(order)  # rejects order < 1 before k % order
+        return cls(order, table[k % order])
 
     # -- structure ------------------------------------------------------
     def lift(self, order: int) -> "CyclotomicNumber":
@@ -248,17 +200,7 @@ class CyclotomicNumber:
             if self.is_rational():
                 return CyclotomicNumber.from_rational(self.as_rational(), order)
             raise ValueError(f"cannot embed order {self.order} into order {order}")
-        step = order // self.order
-        tab = power_table(order)
-        phi = euler_phi(order)
-        acc = [_ZERO] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = tab[k * step]  # k*step < order <= len(tab)
-                for t in range(phi):
-                    if row[t]:
-                        acc[t] += c * row[t]
-        return CyclotomicNumber(order, acc)
+        return CyclotomicNumber(order, _image(self.coeffs, order, order // self.order))
 
     def _pair(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -315,9 +257,17 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """1/x as the product of the other Galois conjugates of x divided
+        by the rational norm of x, their product with x."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(e_n)")
-        return CyclotomicNumber(self.order, _inv_coeffs(self.coeffs, self.order))
+        n, a = self.order, self.coeffs
+        rest = (_ONE,) + (_ZERO,) * (len(a) - 1)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                rest = _mul_coeffs(rest, _image(a, n, k), n)
+        norm = _mul_coeffs(a, rest, n)[0]
+        return CyclotomicNumber(n, tuple(c / norm for c in rest))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -363,9 +313,6 @@ class CyclotomicNumber:
             else:
                 return hash((order, coeffs))
         return hash(coeffs[0])
-
-    def sort_key(self):
-        return self.coeffs
 
     # -- text -----------------------------------------------------------
     def serialize(self) -> str:

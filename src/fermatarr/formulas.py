@@ -387,9 +387,6 @@ def family_record(family: str) -> FamilyRecord:
                         ((0, form.multiplicity),), True)
 
 
-FAMILY_IDS = ("B3", "M3", "M4", "GEN(m)", "BMSS", "MULT4(n)", "P5")
-
-
 @dataclass(frozen=True)
 class FamilyReport:
     """Outcome of the full verification pass over one family."""

@@ -204,11 +204,14 @@ class MultiPoly:
             return (self - other).is_zero()
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        if other.nvars != self.nvars:
+            return False
         a, b = self._pair(other)
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.nvars, self.order, frozenset(self.terms.items())))
+        # coefficient hashes do not depend on the order, so neither may this
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus ---------------------------------------------------------
     def partial(self, i: int) -> "MultiPoly":
@@ -405,9 +408,6 @@ class ProjPoint:
     def __hash__(self):
         return hash(self.normalized().coords)
 
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.normalized().coords)
-
     def __str__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
@@ -558,7 +558,3 @@ def parse_point(text: str, order: int = 1) -> ProjPoint:
         poly = parse_poly(p.strip() or "0", (), order)
         coords.append(poly.terms.get((), CyclotomicNumber.zero(poly.order)))
     return ProjPoint(coords)
-
-
-def format_point(p: ProjPoint) -> str:
-    return str(p)

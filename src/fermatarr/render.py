@@ -29,7 +29,7 @@ def real_line_coefficients(arr: Arrangement):
     out = []
     for h in arr.hyperplanes:
         coes = []
-        for v in h.form:
+        for v in h.equations[0]:
             if not v.is_rational():
                 raise ValueError(
                     "arrangement has complex lines (root order "

@@ -18,8 +18,8 @@ from math import comb, lcm, perm
 from .arrange import Flat, containing_hyperplanes, dual_points, fermat_arrangement
 from .cyclo import CyclotomicNumber, euler_phi
 from .linalg import _field_row_to_int
-from .mpoly import (MultiPoly, ProjPoint, default_names, format_point,
-                    graded_monomials, parse_point, parse_poly)
+from .mpoly import (MultiPoly, ProjPoint, default_names, graded_monomials,
+                    parse_point, parse_poly)
 
 _ZERO = CyclotomicNumber.zero()
 _ONE = CyclotomicNumber.one()
@@ -62,9 +62,6 @@ class FatScheme:
     def __len__(self):
         return len(self.components)
 
-    def with_components(self, extra) -> "FatScheme":
-        return FatScheme(self.ambient, list(self.components) + list(extra))
-
     def points(self):
         """The 0-dimensional components as projective points."""
         return [fl.point() for fl, _ in self.components if fl.dim == 0]
@@ -77,7 +74,7 @@ def format_scheme(scheme: FatScheme) -> str:
     lines = [f"ambient {scheme.ambient}"]
     for flat, mult in scheme.components:
         if flat.dim == 0:
-            lines.append(f"point {format_point(flat.point())} mult {mult}")
+            lines.append(f"point {flat.point()} mult {mult}")
         else:
             eqs = ", ".join(str(p) for p in flat.equation_polys())
             lines.append(f"flat {{ eq: {eqs} }} mult {mult}")

@@ -8,13 +8,11 @@ import pytest
 from fermatarr.arrange import (
     Flat,
     GroupElement,
-    Hyperplane,
     containing_hyperplanes,
     derived_flats,
     dual_points,
     fermat_arrangement,
     format_spec,
-    hyperplane_from_point,
     lattice_membership,
     monomial_group,
     parse_spec,
@@ -105,8 +103,8 @@ def test_dual_points_match_b3_table():
 
 def test_duality_is_an_involution():
     arr = fermat_arrangement(2, 3, 1)
-    for h in arr.hyperplanes:
-        assert hyperplane_from_point(h.dual_point()) == h
+    for p, h in zip(dual_points(arr), arr.hyperplanes):
+        assert Flat.from_equations([p.coords]) == h
 
 
 def test_derived_lines_of_the_space_arrangement():
@@ -144,11 +142,11 @@ def test_lattice_membership_rejects_generic_point():
 
 
 def test_flat_meet_and_containment():
-    h1 = Hyperplane((1, 0, 0, 0))
-    h2 = Hyperplane((0, 1, 0, 0))
-    meet = h1.as_flat().meet(h2.as_flat())
+    h1 = Flat.from_equations([(1, 0, 0, 0)])
+    h2 = Flat.from_equations([(0, 1, 0, 0)])
+    meet = h1.meet(h2)
     assert meet is not None and meet.dim == 1
-    assert h1.as_flat().contains_flat(meet)
+    assert h1.contains_flat(meet)
     assert meet.contains_point(parse_point("(0:0:1:5)"))
     # meeting with a disjoint flat of complementary dimension is empty
     other = Flat.from_span([(1, 0, 0, 0), (0, 1, 0, 0)])
@@ -189,8 +187,9 @@ def test_group_element_apply_matches_matrix():
 
 
 def test_hyperplane_normalization_and_equality():
-    a = Hyperplane((2, -2, 0))
-    b = Hyperplane((1, -1, 0))
+    a = Flat.from_equations([(2, -2, 0)])
+    b = Flat.from_equations([(1, -1, 0)])
     assert a == b
-    assert a.contains(parse_point("(1:1:9)"))
-    assert not a.contains(parse_point("(1:0:0)"))
+    assert a.equations[0] == (1, -1, 0)
+    assert a.contains_point(parse_point("(1:1:9)"))
+    assert not a.contains_point(parse_point("(1:0:0)"))

@@ -89,11 +89,12 @@ def test_missing_scheme_file_exits_1(capsys):
 
 def test_unparsable_scheme_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "z.scheme"
-    bad.write_text("ambient 2\npoint (0:0:0) mult 1\n")
-    code, _, err = run(capsys, "dimension", "--scheme", str(bad),
-                       "--degree", "2")
-    assert code == 1
-    assert "scheme line 2" in err
+    for body in ("point (0:0:0) mult 1", "point (1 : e(0) : 1) mult 1"):
+        bad.write_text(f"ambient 2\n{body}\n")
+        code, _, err = run(capsys, "dimension", "--scheme", str(bad),
+                           "--degree", "2")
+        assert code == 1
+        assert "scheme line 2" in err
 
 
 def test_dual_lists_points(capsys):
@@ -138,6 +139,15 @@ def test_dimension_command(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["result"] == {
         "ambient": 2, "components": 1, "total_monomials": 6, "dimension": 3}
+
+
+def test_readme_root_of_unity_example(capsys, tmp_path):
+    f = tmp_path / "roots.scheme"
+    f.write_text("ambient 2\npoint (1 : e(3) : e(3)^2) mult 1\n")
+    code, out, _ = run(capsys, "dimension", "--scheme", str(f),
+                       "--degree", "1", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["result"]["dimension"] == 2
 
 
 def test_hilbert_command(capsys):

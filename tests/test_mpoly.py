@@ -11,7 +11,6 @@ from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.mpoly import (
     MultiPoly,
     ProjPoint,
-    format_point,
     graded_monomials,
     parse_point,
     parse_poly,
@@ -182,7 +181,7 @@ def test_proj_point_normalization_and_parse():
     assert p.normalized().coords[0] == CyclotomicNumber.one()
     q = parse_point("(1 : 2 : -1)")
     assert p.normalized() == q.normalized()
-    assert parse_point(format_point(q)) == q
+    assert parse_point(str(q)) == q
 
 
 def test_proj_point_rejects_zero_vector():
@@ -196,3 +195,11 @@ def test_pow_matches_repeated_multiplication():
     assert p**0 == parse_poly("1", ("x0", "x1"), 1)
     with pytest.raises(ValueError):
         p**-1
+
+
+def test_eq_and_hash_agree_across_orders_and_variable_counts():
+    p = parse_poly("x0 + 2*x1", ("x0", "x1"))
+    q = p.with_order(3)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
+    assert p != parse_poly("x0 + 2*x1", ("x0", "x1", "x2"))

@@ -77,8 +77,8 @@ def test_generators_required():
 def test_generator_vanishing_breaks_with_extra_component():
     cfg = named_configuration("FERMAT_DUAL(3,2)")
     extra = (Flat.from_point(parse_point("(1:2:3)")), 1)
-    bigger = NamedConfig("tmp", cfg.scheme.with_components([extra]),
-                         cfg.published_generators)
+    scheme = FatScheme(cfg.scheme.ambient, cfg.scheme.components + (extra,))
+    bigger = NamedConfig("tmp", scheme, cfg.published_generators)
     assert not verify_published_generators(bigger)
 
 
