@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from math import comb, factorial, lcm
 
-from .cyclo import CyclotomicNumber
+from .cyclo import CyclotomicNumber, as_field, common_order
 from .linalg import kernel_of_rows, kernel_of_rref, row_dot, rref
 from .mpoly import MultiPoly, ProjPoint
 
@@ -22,19 +22,6 @@ _ZERO = CyclotomicNumber.zero()
 _ONE = CyclotomicNumber.one()
 
 GROUP_ORDER_CAP = 100_000
-
-
-def _as_cyclo(value):
-    if isinstance(value, CyclotomicNumber):
-        return value
-    return CyclotomicNumber.from_rational(value)
-
-
-def _common_order(entries):
-    n = 1
-    for e in entries:
-        n = lcm(n, e.order)
-    return n
 
 
 def _cyc_key(value: CyclotomicNumber):
@@ -116,18 +103,30 @@ def format_spec(arr: Arrangement) -> str:
     return f"A({arr.N + 1},{arr.k + 1},{arr.n})"
 
 
+def parse_id(spec: str, noun: str) -> tuple[str, tuple[int, ...]]:
+    """Split an id HEAD or HEAD(p, ...) into its upper-case head and int
+    parameters; noun names the kind of id in error messages."""
+    text = spec.strip()
+    if "(" in text:
+        head, _, tail = text.partition("(")
+        if not tail.endswith(")"):
+            raise ValueError(f"bad {noun} id {spec!r}")
+        try:
+            params = tuple(int(p) for p in tail[:-1].split(","))
+        except ValueError:
+            raise ValueError(f"bad {noun} parameters in {spec!r}") from None
+    else:
+        head, params = text, ()
+    return head.strip().upper(), params
+
+
 def parse_spec(text: str) -> Arrangement:
-    """Parse an arrangement spec string A(N+1, k+1, n)."""
-    s = text.strip()
-    if not (s.startswith("A(") and s.endswith(")")):
+    """Parse an arrangement spec string A(N+1, k+1, n); the head is
+    case-insensitive."""
+    head, params = parse_id(text, "arrangement")
+    if head != "A" or len(params) != 3:
         raise ValueError(f"bad arrangement spec {text!r}: expected A(N+1,k+1,n)")
-    parts = s[2:-1].split(",")
-    if len(parts) != 3:
-        raise ValueError(f"bad arrangement spec {text!r}: expected three integers")
-    try:
-        n1, k1, n = (int(p.strip()) for p in parts)
-    except ValueError:
-        raise ValueError(f"bad arrangement spec {text!r}: expected three integers")
+    n1, k1, n = params
     return fermat_arrangement(n1 - 1, n, k1 - 1)
 
 
@@ -137,7 +136,9 @@ class GroupElement:
     __slots__ = ("matrix", "monomial")
 
     def __init__(self, matrix, monomial: bool = False):
-        rows = tuple(tuple(_as_cyclo(v) for v in row) for row in matrix)
+        matrix = [tuple(row) for row in matrix]
+        order = common_order(v for row in matrix for v in row)
+        rows = tuple(tuple(as_field(v, order) for v in row) for row in matrix)
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise ValueError("matrix must be square")
@@ -158,12 +159,12 @@ class GroupElement:
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         cols = tuple(zip(*other.matrix))
-        rows = [[row_dot(row, col, 1) for col in cols] for row in self.matrix]
+        rows = [[row_dot(row, col) for col in cols] for row in self.matrix]
         return GroupElement(rows, monomial=self.monomial and other.monomial)
 
     def apply(self, vector):
-        vec = tuple(_as_cyclo(v) for v in vector)
-        return tuple(row_dot(row, vec, 1) for row in self.matrix)
+        vec = tuple(vector)
+        return tuple(row_dot(row, vec) for row in self.matrix)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -219,8 +220,7 @@ def reflections_of(group) -> list:
             row = list(g.matrix[i])
             row[i] = row[i] - _ONE
             rows.append(tuple(row))
-        order = _common_order([v for row in rows for v in row])
-        _, echelon = rref(rows, size, order)
+        _, echelon = rref(rows, size, common_order(v for row in rows for v in row))
         if len(echelon) != 1:
             continue
         seen.add(Flat.from_equations(echelon))
@@ -237,46 +237,46 @@ class Flat:
 
     equations holds the RREF rows of the coefficient matrix, each row a
     covector (c0, ..., cN) annihilating the flat.  dim is the projective
-    dimension: N - len(equations).
+    dimension: N - len(equations).  order is the common_order of the
+    equations, 1 for a flat defined over Q.
     """
 
     __slots__ = ("equations", "dim", "order")
 
-    def __init__(self, equations, ambient: int, order: int, _canonical=False):
+    def __init__(self, equations, ambient: int, _canonical=False):
         if not _canonical:
             raise ValueError("use the from_* constructors")
         object.__setattr__(self, "equations", equations)
         object.__setattr__(self, "dim", ambient - len(equations))
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order",
+                           common_order(v for row in equations for v in row))
 
     def __setattr__(self, name, value):
         raise AttributeError("Flat is immutable")
 
     @staticmethod
     def from_equations(rows) -> "Flat":
-        rows = [tuple(_as_cyclo(v) for v in row) for row in rows]
+        rows = [tuple(row) for row in rows]
         if not rows:
             raise ValueError("a flat needs at least one equation")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("equation rows must share a length")
-        order = _common_order([v for row in rows for v in row])
-        _, echelon = rref(rows, ncols, order)
+        _, echelon = rref(rows, ncols, common_order(v for row in rows for v in row))
         if not echelon:
             raise ValueError("equations are all zero")
         if len(echelon) == ncols:
             raise ValueError("equations have no projective solutions")
-        return Flat(tuple(echelon), ncols - 1, order, _canonical=True)
+        return Flat(tuple(echelon), ncols - 1, _canonical=True)
 
     @staticmethod
     def from_span(vectors) -> "Flat":
         """The flat spanned by the given coordinate vectors."""
-        vecs = [tuple(_as_cyclo(v) for v in vec) for vec in vectors]
+        vecs = [tuple(vec) for vec in vectors]
         if not vecs:
             raise ValueError("span needs at least one vector")
         ncols = len(vecs[0])
-        order = _common_order([v for vec in vecs for v in vec])
-        forms = kernel_of_rows(vecs, ncols, order)
+        forms = kernel_of_rows(vecs, ncols, common_order(v for vec in vecs for v in vec))
         if not forms:
             raise ValueError("vectors span the whole space")
         return Flat.from_equations(forms)
@@ -299,22 +299,21 @@ class Flat:
         return ProjPoint(self.span_basis()[0])
 
     def contains_point(self, point: ProjPoint) -> bool:
-        return all(row_dot(row, point.coords, 1).is_zero()
+        return all(row_dot(row, point.coords).is_zero()
                    for row in self.equations)
 
     def contains_flat(self, other: "Flat") -> bool:
-        return all(row_dot(row, vec, 1).is_zero()
+        return all(row_dot(row, vec).is_zero()
                    for vec in other.span_basis() for row in self.equations)
 
     def meet(self, other: "Flat"):
         """Intersection flat, or None when the intersection is empty."""
-        rows = list(self.equations) + list(other.equations)
+        rows = self.equations + other.equations
         ncols = self.ambient + 1
-        order = lcm(self.order, other.order)
-        _, echelon = rref(rows, ncols, order)
+        _, echelon = rref(rows, ncols, lcm(self.order, other.order))
         if len(echelon) == ncols:
             return None
-        return Flat(tuple(echelon), ncols - 1, order, _canonical=True)
+        return Flat(tuple(echelon), ncols - 1, _canonical=True)
 
     def equation_polys(self, names=None):
         nvars = self.ambient + 1
@@ -347,7 +346,7 @@ def containing_hyperplanes(arr: Arrangement, fl: Flat) -> list:
     """Arrangement hyperplanes whose form vanishes on the whole flat."""
     basis = fl.span_basis()
     return [h for h in arr.hyperplanes
-            if all(row_dot(h.equations[0], vec, 1).is_zero() for vec in basis)]
+            if all(row_dot(h.equations[0], vec).is_zero() for vec in basis)]
 
 
 def lattice_membership(arr: Arrangement, fl: Flat):

@@ -4,7 +4,9 @@ Elements live in the canonical basis 1, e, ..., e^(phi(n)-1) of
 Q[x]/Phi_n(x), where e is a primitive n-th root of unity, so equality is
 coefficient-wise.  Coefficients are `fractions.Fraction`, hence every
 operation is exact.  Values are immutable; mixed-order operands are lifted
-into Q(e_lcm) automatically.
+into Q(e_lcm) automatically.  common_order and as_field are the one rule
+for the field that a mix of ints, Fractions and CyclotomicNumbers lands
+in; polynomials, points, flats and schemes all take it from here.
 
 A value hashes as (order, coeffs) at its minimal order, the least m with
 the value in Q(e_m), so equal values of different orders hash equal; a
@@ -344,6 +346,27 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.serialize()})"
+
+
+def common_order(values) -> int:
+    """The lcm of the stored orders of the non-rational CyclotomicNumbers
+    among values: the order of the field that holds them all.  Ints,
+    Fractions and rational values count as order 1.  A value counts with
+    its stored order even when a smaller field holds it: e(12)^4 = e(3)
+    counts as 12."""
+    n = 1
+    for v in values:
+        if isinstance(v, CyclotomicNumber) and n % v.order and not v.is_rational():
+            n = math.lcm(n, v.order)
+    return n
+
+
+def as_field(value, order: int) -> CyclotomicNumber:
+    """An int, Fraction or CyclotomicNumber as an element of Q(e_order);
+    order must be a multiple of common_order([value])."""
+    if isinstance(value, CyclotomicNumber):
+        return value.lift(order)
+    return CyclotomicNumber.from_rational(value, order)
 
 
 def _frac_str(c: Fraction) -> str:

@@ -18,11 +18,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrange import Flat
+from .arrange import Flat, parse_id
 from .interp import ConditionMatrix, UnexpectednessReport, decide_unexpected
 from .linalg import row_dot
 from .mpoly import MultiPoly, ProjPoint, graded_monomials
-from .scheme import NamedConfig, component_rows, named_configuration, parse_id
+from .scheme import NamedConfig, component_rows, named_configuration
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,7 @@ def specialized_kernel_membership(form: BuiltFormula,
     pt = Flat.from_point(ProjPoint(coords))
     rows.extend(component_rows(pt, form.multiplicity, d))
     vec = spec.coeff_vector(graded_monomials(form.ncoord, d))
-    return all(row_dot(row, vec, mat.order).is_zero() for row in rows)
+    return all(row_dot(row, vec).is_zero() for row in rows)
 
 
 # -- family registry ---------------------------------------------------------

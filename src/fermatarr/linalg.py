@@ -63,8 +63,8 @@ def kernel_of_rows(rows, ncols: int, order: int):
     return kernel_of_rref(rref(rows, ncols, order)[1], ncols, order)
 
 
-def row_dot(row, vec, order: int) -> CyclotomicNumber:
-    acc = CyclotomicNumber.zero(order)
+def row_dot(row, vec) -> CyclotomicNumber:
+    acc = CyclotomicNumber.zero()
     for a, b in zip(row, vec):
         if a and b:
             acc = acc + a * b

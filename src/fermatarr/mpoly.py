@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CyclotomicNumber
+from .cyclo import CyclotomicNumber, as_field, common_order
 
 Coeff = CyclotomicNumber
 
@@ -34,12 +34,6 @@ def graded_monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _as_coeff(value, order: int) -> Coeff:
-    if isinstance(value, CyclotomicNumber):
-        return value.lift(math.lcm(order, value.order)) if order % value.order == 0 else value
-    return CyclotomicNumber.from_rational(value, order)
-
-
 class MultiPoly:
     """A polynomial in nvars variables with coefficients in Q(e_order)."""
 
@@ -55,13 +49,9 @@ class MultiPoly:
                 exps = tuple(exps)
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps}")
-                c = _as_coeff(c, order)
-                if c.order != order:
-                    c = c.lift(order)
+                c = as_field(c, order)
                 if c:
-                    clean[exps] = clean[exps] + c if exps in clean else c
-                    if exps in clean and clean[exps].is_zero():
-                        del clean[exps]
+                    clean[exps] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
@@ -69,6 +59,17 @@ class MultiPoly:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
+
+    def _make(self, terms: dict, order: int | None = None) -> "MultiPoly":
+        """A result in self's variables from terms already in Q(e_order)
+        (self.order by default): arithmetic skips the validation of
+        __init__ and only drops the zero coefficients."""
+        out = object.__new__(MultiPoly)
+        object.__setattr__(out, "nvars", self.nvars)
+        object.__setattr__(out, "order", self.order if order is None else order)
+        object.__setattr__(out, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(out, "names", self.names)
+        return out
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -88,13 +89,12 @@ class MultiPoly:
     def with_order(self, order: int) -> "MultiPoly":
         if order == self.order:
             return self
-        return MultiPoly(self.nvars, order,
-                         {e: c.lift(order) for e, c in self.terms.items()}, self.names)
+        return self._make({e: c.lift(order) for e, c in self.terms.items()}, order)
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             other = MultiPoly.constant(other, self.nvars,
-                                       getattr(other, "order", 1), self.names)
+                                       common_order((other,)), self.names)
         if not isinstance(other, MultiPoly):
             return self, None
         if other.nvars != self.nvars:
@@ -137,19 +137,13 @@ class MultiPoly:
             return NotImplemented
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return MultiPoly(a.nvars, a.order, terms, a.names)
+            terms[e] = terms[e] + c if e in terms else c
+        return a._make(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, self.order,
-                         {e: -c for e, c in self.terms.items()}, self.names)
+        return self._make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -162,13 +156,9 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            c0 = _as_coeff(other, self.order)
-            n = math.lcm(self.order, c0.order)
-            c0 = c0.lift(n)
-            if not c0:
-                return MultiPoly.zero(self.nvars, n, self.names)
-            return MultiPoly(self.nvars, n,
-                             {e: c.lift(n) * c0 for e, c in self.terms.items()}, self.names)
+            n = math.lcm(self.order, common_order((other,)))
+            c0 = as_field(other, n)
+            return self._make({e: c.lift(n) * c0 for e, c in self.terms.items()}, n)
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
@@ -177,13 +167,8 @@ class MultiPoly:
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return MultiPoly(a.nvars, a.order, terms, a.names)
+                terms[e] = terms[e] + c if e in terms else c
+        return a._make(terms)
 
     __rmul__ = __mul__
 
@@ -210,24 +195,20 @@ class MultiPoly:
         return a.terms == b.terms
 
     def __hash__(self):
-        # coefficient hashes do not depend on the order, so neither may this
+        # a constant equals its coefficient as a scalar, so it hashes like
+        # it; coefficient hashes do not depend on the order, so neither may this
+        if not self.terms:
+            return hash(0)
+        if self.degree() == 0:
+            return hash(self.terms[(0,) * self.nvars])
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus ---------------------------------------------------------
     def partial(self, i: int) -> "MultiPoly":
         """Exact partial derivative with respect to variable i."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                nc = c * e[i]
-                if ne in terms:
-                    nc = terms[ne] + nc
-                if nc:
-                    terms[ne] = nc
-                elif ne in terms:
-                    del terms[ne]
-        return MultiPoly(self.nvars, self.order, terms, self.names)
+        # lowering e[i] by one is injective on the terms with e[i] > 0
+        return self._make({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                           for e, c in self.terms.items() if e[i]})
 
     def partial_multi(self, beta) -> "MultiPoly":
         out = self
@@ -245,12 +226,8 @@ class MultiPoly:
 
     def partial_evaluate(self, assign: dict) -> "MultiPoly":
         """Substitute constants for some variables, keeping nvars fixed."""
-        order = self.order
-        for v in assign.values():
-            if isinstance(v, CyclotomicNumber):
-                order = math.lcm(order, v.order)
-        vals = {i: _as_coeff(v, order).lift(order) if not isinstance(v, CyclotomicNumber)
-                else v.lift(order) for i, v in assign.items()}
+        order = math.lcm(self.order, common_order(assign.values()))
+        vals = {i: as_field(v, order) for i, v in assign.items()}
         pows: dict[tuple[int, int], Coeff] = {}
         terms: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
@@ -264,16 +241,10 @@ class MultiPoly:
                         p = pows[i, k] = val ** k
                     c = c * p
                     ne[i] = 0
-            if not c:
-                continue
-            key = tuple(ne)
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-        return MultiPoly(self.nvars, order, terms, self.names)
+            if c:
+                key = tuple(ne)
+                terms[key] = terms[key] + c if key in terms else c
+        return self._make(terms, order)
 
     def substitute_linear(self, matrix, new_names=None) -> "MultiPoly":
         """Ring substitution x_i -> sum_j matrix[i][j] * y_j.
@@ -287,19 +258,10 @@ class MultiPoly:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged substitution matrix")
-        order = self.order
-        for r in rows:
-            for v in r:
-                if isinstance(v, CyclotomicNumber):
-                    order = math.lcm(order, v.order)
+        order = math.lcm(self.order, common_order(v for r in rows for v in r))
         names = tuple(new_names) if new_names is not None else default_names(m)
-        lin = []
-        for r in rows:
-            lin.append(MultiPoly(m, order,
-                                 {tuple(1 if j == t else 0 for j in range(m)): v
-                                  for t, v in enumerate(r)
-                                  if (v if isinstance(v, CyclotomicNumber) else Fraction(v))},
-                                 names))
+        units = graded_monomials(m, 1)  # the exponent tuple of y_j is units[j]
+        lin = [MultiPoly(m, order, dict(zip(units, r)), names) for r in rows]
         pows: list[dict[int, MultiPoly]] = [dict() for _ in range(self.nvars)]
 
         def power(i, k):
@@ -370,15 +332,10 @@ class ProjPoint:
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords, order=None) -> None:
+    def __init__(self, coords) -> None:
         cs = list(coords)
-        if order is None:
-            order = 1
-            for c in cs:
-                if isinstance(c, CyclotomicNumber):
-                    order = math.lcm(order, c.order)
-        cs = [_as_coeff(c, order).lift(order) if not isinstance(c, CyclotomicNumber)
-              else c.lift(order) for c in cs]
+        order = common_order(cs)
+        cs = [as_field(c, order) for c in cs]
         if not any(cs):
             raise ValueError("projective point needs a nonzero coordinate")
         object.__setattr__(self, "coords", tuple(cs))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import comb, lcm, perm
 
-from .arrange import Flat, containing_hyperplanes, dual_points, fermat_arrangement
+from .arrange import Flat, dual_points, fermat_arrangement, parse_id
 from .cyclo import CyclotomicNumber, euler_phi
 from .linalg import _field_row_to_int
 from .mpoly import (MultiPoly, ProjPoint, default_names, graded_monomials,
@@ -23,10 +23,6 @@ from .mpoly import (MultiPoly, ProjPoint, default_names, graded_monomials,
 
 _ZERO = CyclotomicNumber.zero()
 _ONE = CyclotomicNumber.one()
-
-
-def _entry_order(value: CyclotomicNumber) -> int:
-    return 1 if value.is_rational() else value.order
 
 
 class FatScheme:
@@ -37,7 +33,6 @@ class FatScheme:
     def __init__(self, ambient: int, components):
         comps = []
         seen = set()
-        order = 1
         for flat, mult in components:
             if not isinstance(flat, Flat):
                 raise TypeError("components must be (Flat, multiplicity) pairs")
@@ -49,12 +44,9 @@ class FatScheme:
                 raise ValueError("flats must be mutually distinct")
             seen.add(flat)
             comps.append((flat, int(mult)))
-            for row in flat.equations:
-                for v in row:
-                    order = lcm(order, _entry_order(v))
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "root_order", order)
+        object.__setattr__(self, "root_order", lcm(*(fl.order for fl, _ in comps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FatScheme is immutable")
@@ -418,23 +410,6 @@ def _build_mult4_points(n: int) -> NamedConfig:
     points = derived_flats(arr, 0, 2)
     scheme = FatScheme(2, [(fl, 1) for fl in points])
     return NamedConfig(f"MULT4_POINTS({n})", scheme)
-
-
-def parse_id(spec: str, noun: str) -> tuple[str, tuple[int, ...]]:
-    """Split an id HEAD or HEAD(p, ...) into its upper-case head and int
-    parameters; noun names the kind of id in error messages."""
-    text = spec.strip()
-    if "(" in text:
-        head, _, tail = text.partition("(")
-        if not tail.endswith(")"):
-            raise ValueError(f"bad {noun} id {spec!r}")
-        try:
-            params = tuple(int(p) for p in tail[:-1].split(","))
-        except ValueError:
-            raise ValueError(f"bad {noun} parameters in {spec!r}") from None
-    else:
-        head, params = text, ()
-    return head.strip().upper(), params
 
 
 def named_configuration(spec: str) -> NamedConfig:

@@ -278,4 +278,4 @@ def test_criterion_11_property_suites():
             for poly in kernel:
                 vec = poly.coeff_vector(monos)
                 for row in mat.rows:
-                    assert row_dot(row, vec, mat.order).is_zero()
+                    assert row_dot(row, vec).is_zero()

@@ -179,6 +179,9 @@ def test_spec_string_round_trip():
         parse_spec("B(3,2,3)")
     with pytest.raises(ValueError):
         parse_spec("A(3,2)")
+    lower = parse_spec("a(3,2,3)")
+    assert format_spec(lower) == "A(3,2,3)"
+    assert lower.hyperplanes == arr.hyperplanes
 
 
 def test_group_element_apply_matches_matrix():

@@ -203,3 +203,12 @@ def test_eq_and_hash_agree_across_orders_and_variable_counts():
     assert p == q and hash(p) == hash(q)
     assert len({p, q}) == 1
     assert p != parse_poly("x0 + 2*x1", ("x0", "x1", "x2"))
+
+
+def test_constants_hash_like_the_scalars_they_equal():
+    five = MultiPoly.constant(5, 2)
+    assert five == 5 and hash(five) == hash(5)
+    zero = MultiPoly.zero(2)
+    assert zero == 0 and hash(zero) == hash(0)
+    c = CyclotomicNumber.root(3)
+    assert len({MultiPoly.constant(c, 2, 3), c}) == 1

@@ -5,9 +5,10 @@ import random
 import pytest
 from helpers import chart_rows, field_rank_oracle
 
-from fermatarr.arrange import Flat
+from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
 from fermatarr.cyclo import CyclotomicNumber
-from fermatarr.interp import ConditionMatrix, random_flat, system_dimension
+from fermatarr.interp import (ConditionMatrix, hilbert_function, random_flat,
+                              system_dimension)
 from fermatarr.linalg import Eliminator, rank_of_field_rows
 from fermatarr.mpoly import MultiPoly, ProjPoint, graded_monomials, parse_point
 from fermatarr.scheme import (
@@ -128,7 +129,7 @@ def test_m3_generator_list_is_truncated():
     assert len(cols) - mat_rank == 10
     from fermatarr.linalg import row_dot
     for row in rows:
-        assert row_dot(row, missing.coeff_vector(cols), cfg.scheme.root_order).is_zero()
+        assert row_dot(row, missing.coeff_vector(cols)).is_zero()
 
 
 # -- conditions counts -------------------------------------------------------
@@ -299,6 +300,27 @@ def test_configuration_with_fat_point_matches_blowup_oracle(cid, d, m, rank):
 
 
 # -- scheme construction and the file format ---------------------------------
+
+def test_one_coercion_rule_gives_flat_point_and_root_orders():
+    # e(6)^3 = -1: a point with rational coordinates has order 1 throughout
+    rational = parse_point("(1 : e(6)^3 : 2)")
+    assert rational.order == 1
+    assert Flat.from_point(rational).order == 1
+    Z = parse_scheme("ambient 2\n"
+                     "point (1 : e(3) : e(3)^2) mult 2\n"
+                     "point (1 : e(4) : 0) mult 1\n"
+                     "point (1 : e(6)^3 : 2) mult 1\n"
+                     "flat { eq: x0 - e(12)*x1 } mult 1\n")
+    assert [fl.order for fl, _ in Z.components] == [3, 4, 1, 12]
+    assert Z.root_order == 12
+    assert hilbert_function(Z, 5) == [1, 3, 6, 9, 10, 11]
+    points = derived_flats(fermat_arrangement(2, 4, -1), 0, 2)
+    orders = {fl.order for fl in points}
+    assert orders == {1, 4}
+    for fl in points:
+        is_rational = all(c.is_rational() for c in fl.point().coords)
+        assert fl.order == fl.point().order == (1 if is_rational else 4)
+
 
 def test_scheme_validation():
     pt = Flat.from_point(parse_point("(1:2:3)"))
