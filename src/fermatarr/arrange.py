@@ -238,7 +238,8 @@ class Flat:
     equations holds the RREF rows of the coefficient matrix, each row a
     covector (c0, ..., cN) annihilating the flat.  dim is the projective
     dimension: N - len(equations).  order is the common_order of the
-    equations, 1 for a flat defined over Q.
+    equations, 1 for a flat defined over Q, and every entry is stored at
+    that order.
     """
 
     __slots__ = ("equations", "dim", "order")
@@ -246,10 +247,11 @@ class Flat:
     def __init__(self, equations, ambient: int, _canonical=False):
         if not _canonical:
             raise ValueError("use the from_* constructors")
-        object.__setattr__(self, "equations", equations)
+        order = common_order(v for row in equations for v in row)
+        object.__setattr__(self, "equations",
+                           tuple(tuple(v.lift(order) for v in row) for row in equations))
         object.__setattr__(self, "dim", ambient - len(equations))
-        object.__setattr__(self, "order",
-                           common_order(v for row in equations for v in row))
+        object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
         raise AttributeError("Flat is immutable")

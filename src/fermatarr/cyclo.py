@@ -1,12 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(e_n).
 
 Elements live in the canonical basis 1, e, ..., e^(phi(n)-1) of
-Q[x]/Phi_n(x), where e is a primitive n-th root of unity, so equality is
-coefficient-wise.  Coefficients are `fractions.Fraction`, hence every
-operation is exact.  Values are immutable; mixed-order operands are lifted
-into Q(e_lcm) automatically.  common_order and as_field are the one rule
-for the field that a mix of ints, Fractions and CyclotomicNumbers lands
-in; polynomials, points, flats and schemes all take it from here.
+Q[x]/Phi_n(x), where e is a primitive n-th root of unity.  A value is
+stored as int numerators over one positive denominator with their gcd
+divided out, so equality at one order is tuple equality; arithmetic runs
+on ints with one gcd per result.  Values are immutable; mixed-order
+operands are lifted into Q(e_lcm) automatically.  common_order and
+as_field are the one rule for the field that a mix of ints, Fractions and
+CyclotomicNumbers lands in; polynomials, points, flats and schemes all
+take it from here.
 
 A value hashes as (order, coeffs) at its minimal order, the least m with
 the value in Q(e_m), so equal values of different orders hash equal; a
@@ -18,12 +20,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
-
-Scalar = Union[int, Fraction, "CyclotomicNumber"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _exact_div_int(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -92,7 +88,7 @@ def _primes(n: int) -> tuple[int, ...]:
 def _image(coeffs, n: int, k: int) -> list:
     """Coefficients in Q(e_n) of sum_j coeffs[j] * e_n^(j*k)."""
     tab = power_table(n)
-    acc = [_ZERO] * euler_phi(n)
+    acc = [0] * euler_phi(n)
     for j, c in enumerate(coeffs):
         if c:
             row = tab[j * k % n]
@@ -104,11 +100,11 @@ def _image(coeffs, n: int, k: int) -> list:
 
 @lru_cache(maxsize=None)
 def _subfield_solver(n: int, p: int):
-    """Sparse solve data for membership in Q(e_(n/p)) inside Q(e_n).
+    """Integer solve data (scale, solve) for membership in Q(e_(n/p)) in Q(e_n).
 
-    solve[j] lists the (t, c) with sum c*x[t] the j-th coordinate of x
-    over the lifts e_n^(j*p), j < phi(n/p), read off pivot coordinates
-    where the lifts are invertible."""
+    solve[j] lists the (t, c) with sum c*x[t] the j-th coordinate of
+    scale*x over the lifts e_n^(j*p), j < phi(n/p), read off pivot
+    coordinates where the lifts are invertible."""
     dense = power_table(n)[:p * euler_phi(n // p):p]
     k = len(dense)
     rows = [[Fraction(v) for v in lift] + [Fraction(int(i == j)) for j in range(k)]
@@ -122,61 +118,83 @@ def _subfield_solver(n: int, p: int):
                 f = rows[j][col]
                 rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
         cols.append(col)
-    return tuple(tuple((c, row[-k + j]) for c, row in zip(cols, rows) if row[-k + j])
-                 for j in range(k))
+    scale = math.lcm(*[v.denominator for row in rows for v in row[-k:]])
+    return scale, tuple(tuple((c, int(row[-k + j] * scale))
+                              for c, row in zip(cols, rows) if row[-k + j])
+                        for j in range(k))
 
 
-def _descend(coeffs: tuple, n: int, p: int):
-    """Coefficients in Q(e_(n/p)) of the value coeffs of Q(e_n), or None
-    when it does not lie there."""
-    sub = tuple(sum(coeffs[t] * c for t, c in terms)
-                for terms in _subfield_solver(n, p))
-    return sub if _image(sub, n, p) == list(coeffs) else None
+def _descend(num: tuple, n: int, p: int):
+    """Integer numerators in Q(e_(n/p)) of scale times the value num of
+    Q(e_n), with that scale, or None when the value does not lie there."""
+    scale, solve = _subfield_solver(n, p)
+    sub = tuple(sum(num[t] * c for t, c in terms) for terms in solve)
+    return (sub, scale) if _image(sub, n, p) == [scale * v for v in num] else None
 
 
-def _mul_coeffs(a: tuple, b: tuple, n: int) -> tuple:
+def _mul_num(a: tuple, b: tuple, n: int) -> tuple:
+    """The product of two integer coefficient tuples of Q(e_n)."""
     phi = len(a)
     if phi == 1:
         return (a[0] * b[0],)
-    conv = [_ZERO] * (2 * phi - 1)
+    conv = [0] * (2 * phi - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(b, i):
                 if bj:
-                    conv[i + j] += ai * bj
-    res = list(conv[:phi])
-    tab = power_table(n)
-    for k in range(phi, 2 * phi - 1):
-        ck = conv[k]
+                    conv[j] += ai * bj
+    res = conv[:phi]
+    for ck, row in zip(conv[phi:], power_table(n)[phi:]):
         if ck:
-            row = tab[k]
-            for t in range(phi):
-                if row[t]:
-                    res[t] += ck * row[t]
+            for t, v in enumerate(row):
+                if v:
+                    res[t] += ck * v
     return tuple(res)
 
 
 class CyclotomicNumber:
-    """An element of Q(e_n) in canonical reduced form."""
+    """An element num/den of Q(e_n) in canonical reduced form: num holds
+    the integer coefficients on 1, e, ..., e^(phi-1), den > 0 and
+    gcd(den, *num) = 1."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(cs) != phi:
             raise ValueError(f"expected {phi} coefficients for order {order}, got {len(cs)}")
+        # the lcm of reduced denominators leaves gcd(den, *num) = 1
+        den = math.lcm(*[c.denominator for c in cs])
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CyclotomicNumber is immutable")
 
+    @staticmethod
+    def _make(order: int, num: tuple, den: int = 1) -> "CyclotomicNumber":
+        """num/den from phi(order) ints and a positive int, with their gcd
+        divided out; arithmetic results skip the checks of __init__."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = tuple(v // g for v in num)
+                den //= g
+        out = object.__new__(CyclotomicNumber)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
-        phi = euler_phi(order)
-        return cls(order, (Fraction(value),) + (_ZERO,) * (phi - 1))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        pad = (0,) * (euler_phi(order) - 1)
+        return _make(order, (value.numerator,) + pad, value.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
@@ -190,7 +208,12 @@ class CyclotomicNumber:
     def root(cls, order: int, k: int = 1) -> "CyclotomicNumber":
         """The root of unity e_order^k in canonical form."""
         table = power_table(order)  # rejects order < 1 before k % order
-        return cls(order, table[k % order])
+        return _make(order, table[k % order])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients on 1, e, ..., e^(phi-1) as Fractions."""
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     # -- structure ------------------------------------------------------
     def lift(self, order: int) -> "CyclotomicNumber":
@@ -198,11 +221,12 @@ class CyclotomicNumber:
         that rational values embed anywhere."""
         if order == self.order:
             return self
+        num = self.num
+        if not any(num[1:]):
+            return _make(order, num[:1] + (0,) * (euler_phi(order) - 1), self.den)
         if order % self.order:
-            if self.is_rational():
-                return CyclotomicNumber.from_rational(self.as_rational(), order)
             raise ValueError(f"cannot embed order {self.order} into order {order}")
-        return CyclotomicNumber(order, _image(self.coeffs, order, order // self.order))
+        return _make(order, tuple(_image(num, order, order // self.order)), self.den)
 
     def _pair(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -216,60 +240,64 @@ class CyclotomicNumber:
 
     # -- predicates -----------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(map(bool, self.coeffs))
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other) -> "CyclotomicNumber":
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        return CyclotomicNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        ad, bd = a.den, b.den
+        return _make(a.order, tuple(x * bd + y * ad for x, y in zip(a.num, b.num)),
+                     ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.order, tuple(-x for x in self.coeffs))
+        return _make(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if b is None:
-            return NotImplemented
-        return CyclotomicNumber(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self + -other
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _make(self.order, tuple(x * other for x in self.num), self.den)
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        return CyclotomicNumber(a.order, _mul_coeffs(a.coeffs, b.coeffs, a.order))
+        return _make(a.order, _mul_num(a.num, b.num, a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """1/x as the product of the other Galois conjugates of x divided
-        by the rational norm of x, their product with x."""
-        if self.is_zero():
+        """1/x as den times the product of the other Galois conjugates of
+        num, divided by the integer norm of num, their product with num."""
+        n, a, den = self.order, self.num, self.den
+        if not any(a):
             raise ZeroDivisionError("division by zero in Q(e_n)")
-        n, a = self.order, self.coeffs
-        rest = (_ONE,) + (_ZERO,) * (len(a) - 1)
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                rest = _mul_coeffs(rest, _image(a, n, k), n)
-        norm = _mul_coeffs(a, rest, n)[0]
-        return CyclotomicNumber(n, tuple(c / norm for c in rest))
+        rest = (1,) + (0,) * (len(a) - 1)
+        if any(a[1:]):
+            for k in range(2, n):
+                if math.gcd(k, n) == 1:
+                    rest = _mul_num(rest, _image(a, n, k), n)
+        norm = _mul_num(a, rest, n)[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _make(n, tuple(den * v for v in rest), norm)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -283,38 +311,38 @@ class CyclotomicNumber:
     def __pow__(self, k: int) -> "CyclotomicNumber":
         if not isinstance(k, int):
             return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
+        base = self if k >= 0 else self.inverse()
         out = CyclotomicNumber.one(self.order)
-        while k:
-            if k & 1:
+        for bit in bin(abs(k))[2:]:
+            out = out * out
+            if bit == "1":
                 out = out * base
-            base = base * base
-            k >>= 1
         return out
 
     # -- comparison -----------------------------------------------------
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         if isinstance(other, CyclotomicNumber):
             a, b = self._pair(other)
-            return a.coeffs == b.coeffs
+            return a.num == b.num and a.den == b.den
         return NotImplemented
 
     def __hash__(self):
-        order, coeffs = self.order, self.coeffs
-        while any(coeffs[1:]):
+        order, num, den = self.order, self.num, self.den
+        while any(num[1:]):
             for p in _primes(order):
-                sub = _descend(coeffs, order, p)
+                sub = _descend(num, order, p)
                 if sub is not None:
-                    order, coeffs = order // p, sub
+                    order, (num, scale) = order // p, sub
+                    den *= scale
                     break
             else:
-                return hash((order, coeffs))
-        return hash(coeffs[0])
+                break
+        if den != 1:
+            num = tuple(Fraction(v, den) for v in num)
+        return hash((order, num)) if any(num[1:]) else hash(num[0])
 
     # -- text -----------------------------------------------------------
     def serialize(self) -> str:
@@ -323,29 +351,22 @@ class CyclotomicNumber:
 
     def __str__(self) -> str:
         if self.is_rational():
-            return _frac_str(self.coeffs[0])
-        parts = []
+            return _frac_str(self.as_rational())
+        out = ""
         for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(_frac_str(c))
-                continue
-            sym = f"e({self.order})" if k == 1 else f"e({self.order})^{k}"
-            if c == 1:
-                term = sym
-            elif c == -1:
-                term = f"-{sym}"
-            else:
-                term = f"{_frac_str(c)}*{sym}"
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+            if c:
+                sym = f"e({self.order})" + (f"^{k}" if k > 1 else "")
+                term = (_frac_str(c) if k == 0 else sym if c == 1
+                         else f"-{sym}" if c == -1 else f"{_frac_str(c)}*{sym}")
+                out += (term if not out else f" - {term[1:]}"
+                        if term.startswith("-") else f" + {term}")
         return out
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.serialize()})"
+
+
+_make = CyclotomicNumber._make
 
 
 def common_order(values) -> int:
@@ -385,4 +406,3 @@ def parse_cyclo(text: str) -> CyclotomicNumber:
     body = m.group(2).strip()
     coeffs = [Fraction(p.strip()) for p in body.split(",")] if body else []
     return CyclotomicNumber(order, coeffs)
-

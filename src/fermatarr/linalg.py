@@ -14,7 +14,6 @@ beside CyclotomicNumbers.  Row scaling never changes rank or kernel.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, euler_phi, power_table
 
@@ -76,24 +75,22 @@ def _field_row_to_int(row, order: int, phi: int):
     integer coordinates, returned as one flat list of ncols*phi ints (the
     phi coefficients of each entry in turn); an int or Fraction entry is
     its own first coefficient."""
+    if phi == 1 and set(map(type, row)) == {int}:
+        return _strip(list(row))
     pad = (0,) * (phi - 1)
     flat: list = []
+    den = 1
     for entry in row:
-        if isinstance(entry, (int, Fraction)):
-            flat.append(entry)
-            flat.extend(pad)
+        if isinstance(entry, CyclotomicNumber):
+            entry = entry.lift(order)
+            num, d = entry.num, entry.den
         else:
-            flat.extend((entry if entry.order == order
-                         else entry.lift(order)).coeffs)
-    den = math.lcm(*[c.denominator for c in flat])
-    if den == 1:
-        flat = [c.numerator for c in flat]
-    else:
-        flat = [c.numerator * (den // c.denominator) for c in flat]
-    g = math.gcd(*flat)
-    if g > 1:
-        flat = [v // g for v in flat]
-    return flat
+            num, d = (entry.numerator,) + pad, entry.denominator
+        if den % d:
+            s = d // math.gcd(den, d)
+            flat, den = [v * s for v in flat], den * s
+        flat.extend(num if d == den else [v * (den // d) for v in num])
+    return _strip(flat)
 
 
 def _strip(row):
@@ -228,10 +225,12 @@ class Eliminator:
                     row = _strip([p * x for x in row[:k]]
                                  + [p * x - e * y
                                     for x, y in zip(row[k:], prow)])
+            if row[0] < 0:
+                row = [-x for x in row]
             den = row[0]
-            full = [0] * lead + [Fraction(x, den) for x in row]
+            full = [0] * lead + list(row)
             pivot_cols.append(lead // phi)
-            out.append(tuple(CyclotomicNumber(order, full[s:s + phi])
+            out.append(tuple(CyclotomicNumber._make(order, tuple(full[s:s + phi]), den)
                              for s in range(0, len(full), phi)))
         return pivot_cols, out
 

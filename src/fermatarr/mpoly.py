@@ -111,24 +111,18 @@ class MultiPoly:
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=None)
 
     def degree_in(self, variables) -> int:
         vs = tuple(variables)
-        if not self.terms:
-            return 0
-        return max(sum(e[i] for i in vs) for e in self.terms)
+        return max((sum(e[i] for i in vs) for e in self.terms), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len({sum(e) for e in self.terms}) <= 1
 
     def is_homogeneous_in(self, variables) -> bool:
         vs = tuple(variables)
-        degs = {sum(e[i] for i in vs) for e in self.terms}
-        return len(degs) <= 1
+        return len({sum(e[i] for i in vs) for e in self.terms}) <= 1
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -146,10 +140,7 @@ class MultiPoly:
         return self._make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if b is None:
-            return NotImplemented
-        return a + (-b)
+        return self + -other
 
     def __rsub__(self, other):
         return -(self - other)
@@ -228,18 +219,15 @@ class MultiPoly:
         """Substitute constants for some variables, keeping nvars fixed."""
         order = math.lcm(self.order, common_order(assign.values()))
         vals = {i: as_field(v, order) for i, v in assign.items()}
-        pows: dict[tuple[int, int], Coeff] = {}
+        power = lru_cache(maxsize=None)(lambda i, k: vals[i] ** k)
         terms: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
             c = c.lift(order)
             ne = list(e)
-            for i, val in vals.items():
+            for i in vals:
                 k = e[i]
                 if k:
-                    p = pows.get((i, k))
-                    if p is None:
-                        p = pows[i, k] = val ** k
-                    c = c * p
+                    c = c * power(i, k)
                     ne[i] = 0
             if c:
                 key = tuple(ne)
@@ -262,14 +250,7 @@ class MultiPoly:
         names = tuple(new_names) if new_names is not None else default_names(m)
         units = graded_monomials(m, 1)  # the exponent tuple of y_j is units[j]
         lin = [MultiPoly(m, order, dict(zip(units, r)), names) for r in rows]
-        pows: list[dict[int, MultiPoly]] = [dict() for _ in range(self.nvars)]
-
-        def power(i, k):
-            d = pows[i]
-            if k not in d:
-                d[k] = lin[i] ** k
-            return d[k]
-
+        power = lru_cache(maxsize=None)(lambda i, k: lin[i] ** k)
         out = MultiPoly.zero(m, order, names)
         for e, c in self.terms.items():
             piece = MultiPoly.constant(c, m, order, names)

@@ -223,7 +223,7 @@ def _integral_vector(vec, order: int):
     phi = euler_phi(order)
     flat = _field_row_to_int(vec, order, phi)
     chunks = (flat[i:i + phi] for i in range(0, len(flat), phi))
-    return tuple(c[0] if not any(c[1:]) else CyclotomicNumber(order, c)
+    return tuple(c[0] if not any(c[1:]) else CyclotomicNumber._make(order, tuple(c))
                  for c in chunks)
 
 

@@ -196,3 +196,15 @@ def test_hyperplane_normalization_and_equality():
     assert a.equations[0] == (1, -1, 0)
     assert a.contains_point(parse_point("(1:1:9)"))
     assert not a.contains_point(parse_point("(1:0:0)"))
+
+
+def test_rational_flats_store_their_entries_at_order_one():
+    # the rational points among the derived flats of A(3,0,4) come out of
+    # eliminations at order 4; the flat lowers their entries once
+    points = [fl for fl in derived_flats(fermat_arrangement(2, 4, -1), 0, 2)
+              if fl.order == 1]
+    assert len(points) == 7
+    for fl in points:
+        entries = [v for row in fl.equations for v in row]
+        entries += [v for vec in fl.span_basis() for v in vec]
+        assert {v.order for v in entries} == {1}

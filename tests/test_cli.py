@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, text and structured output, determinism, files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,36 @@ def test_structured_output_is_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# SHA-256 of the --format structured stdout of each command, as printed
+# by the Fraction-based arithmetic that preceded int numerators over one
+# denominator; no change of arithmetic may move a byte of them
+PINNED_STRUCTURED = [
+    (("verify-formula", "--config-id", "GEN(5)"),
+     "bf272e386c9d580baed1f9f4f1def3e9cd3ad869bf9d004c644223ebc5809917"),
+    (("verify-formula", "--config-id", "MULT4(4)"),
+     "0901afd35fd9ebb880cfd263a6abac1868f48e8f942d5232ae163d8f877564c4"),
+    (("verify-formula", "--config-id", "BMSS"),
+     "69ca0cb12840f6c3d71a089140faf2cb1d30641630aebc00a01af23b4b475861"),
+    (("derived", "--spec", "A(3,0,8)", "--flat-dim", "0"),
+     "40e36297cb57633eeccfc07f0976a5760a80a7a6f6cb0e2f248213f58d160422"),
+    (("derived", "--spec", "A(4,0,3)", "--flat-dim", "1", "--min-count", "3"),
+     "3c3baec28835ad8abe99fed40bad6a3be15b6aa24d37362a8fea90dd30cd0198"),
+    (("dual", "--spec", "A(3,3,7)"),
+     "5c675f032e7fcca7876ff857719eb7114fef644c766e1ef1dbd4c57b45114e52"),
+    (("dimension", "--config-id", "MULT4_POINTS(5)", "--degree", "7"),
+     "201261b335e55181643f238218563e6f5b657af63428ea4db166efa380400c14"),
+    (("hilbert", "--config-id", "LINES42", "--max-degree", "7"),
+     "3485810d93e555f89ae758b3a85ff6638e44b3ef571540f896873c9b5c400d77"),
+]
+
+
+def test_structured_records_match_pinned_digests(capsys):
+    for argv, digest in PINNED_STRUCTURED:
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_usage_errors_exit_1(capsys):

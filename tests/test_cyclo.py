@@ -187,3 +187,82 @@ def test_sum_of_all_roots_is_zero():
         for k in range(n):
             total = total + CyclotomicNumber.root(n, k)
         assert total.is_zero()
+
+
+def _old_style_coeffs(rng, order):
+    return [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+            for _ in range(euler_phi(order))]
+
+
+def test_storage_is_canonical_int_numerators_over_one_denominator():
+    import math
+
+    rng = random.Random(41)
+    for order in ORDERS + (8, 12):
+        for _ in range(30):
+            a = _random_element(rng, order)
+            b = _random_element(rng, order)
+            for v in (a, b, a + b, a - b, a * b, -a, a * 3, a.lift(2 * order)):
+                assert v.den > 0
+                assert all(type(c) is int for c in v.num)
+                assert math.gcd(v.den, *v.num) == 1
+            # one value at one order has one (num, den)
+            same = (a * b) * b - a * (b * b) + a
+            assert (same.num, same.den) == (a.num, a.den)
+    assert (CyclotomicNumber.zero(5).num, CyclotomicNumber.zero(5).den) \
+        == ((0, 0, 0, 0), 1)
+    half = CyclotomicNumber(3, [Fraction(2, 4), Fraction(-3, 6)])
+    assert (half.num, half.den) == ((1, -1), 2)
+
+
+def test_inverse_of_negative_rationals_and_of_values_with_denominators():
+    for order in (1, 2):
+        for value in (Fraction(-1), Fraction(-3, 7), Fraction(-12, 5)):
+            x = CyclotomicNumber.from_rational(value, order)
+            inv = x.inverse()
+            assert inv == 1 / value and inv.den > 0
+            assert x * inv == 1
+    # at order 2 the root itself is the rational -1
+    assert CyclotomicNumber.root(2).inverse() == -1
+    rng = random.Random(53)
+    for order in (5, 11, 16):
+        for _ in range(5):
+            x = CyclotomicNumber(order, _old_style_coeffs(rng, order))
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert inv.den > 0
+            assert x * inv == 1 and inv.inverse() == x
+
+
+def test_coeffs_is_a_fraction_view_of_the_stored_value():
+    rng = random.Random(61)
+    for order in ORDERS + (11, 16):
+        fracs = _old_style_coeffs(rng, order)
+        x = CyclotomicNumber(order, fracs)
+        assert x.coeffs == tuple(fracs)
+        assert all(type(c) is Fraction for c in x.coeffs)
+        assert x.coeffs == tuple(Fraction(v, x.den) for v in x.num)
+    assert CyclotomicNumber.root(4).coeffs == (Fraction(0), Fraction(1))
+
+
+def test_serialize_parse_round_trip_with_denominators():
+    rng = random.Random(67)
+    for order in ORDERS + (12, 16):
+        for _ in range(10):
+            x = CyclotomicNumber(order, _old_style_coeffs(rng, order))
+            text = x.serialize()
+            back = parse_cyclo(text)
+            assert back == x and (back.num, back.den) == (x.num, x.den)
+            assert back.serialize() == text
+    x = CyclotomicNumber(4, [Fraction(1, 2), Fraction(-2, 3)])
+    assert x.serialize() == "cyclo(4)[1/2, -2/3]"
+    assert str(x) == "1/2 - 2/3*e(4)"
+
+
+def test_rational_values_hash_like_their_fraction():
+    for n in (1, 4, 12):
+        x = CyclotomicNumber.from_rational(Fraction(-1, 3), n)
+        assert hash(x) == hash(Fraction(-1, 3))
+        assert x == Fraction(-1, 3) and x != Fraction(1, 3)
+    assert hash(CyclotomicNumber.from_rational(7, 5)) == hash(7)
