@@ -178,19 +178,20 @@ class GroupElement:
         return f"GroupElement({self.matrix!r})"
 
 
-def monomial_group(n: int, p: int, N1: int, cap: int = GROUP_ORDER_CAP):
+def monomial_group(n: int, p: int, N1: int):
     """Enumerate G(n, p, N+1): monomial matrices with e(n)-power entries
     whose entry product is an (n/p)-th root of unity.
 
-    The order is N1! * n^N1 / p; enumeration refuses to exceed cap.
+    The order is N1! * n^N1 / p; enumeration refuses to exceed
+    GROUP_ORDER_CAP.
     """
     if N1 < 2:
         raise ValueError("N1 must be >= 2")
     if n < 1 or p < 1 or n % p != 0:
         raise ValueError("p must divide n")
     order = factorial(N1) * n ** N1 // p
-    if order > cap:
-        raise ValueError(f"group order {order} exceeds cap {cap}")
+    if order > GROUP_ORDER_CAP:
+        raise ValueError(f"group order {order} exceeds cap {GROUP_ORDER_CAP}")
     eps_pows = [CyclotomicNumber.root(n) ** a for a in range(n)]
     elements = []
     for sigma in itertools.permutations(range(N1)):

@@ -20,7 +20,8 @@ from .formulas import build_formula, verify_family
 from .interp import decide_unexpected, hilbert_function, system_dimension
 from .render import (DEFAULT_GRID, DEFAULT_VIEWPORT, real_line_coefficients,
                      render_svg)
-from .scheme import named_configuration, parse_scheme, verify_published_generators
+from .scheme import (format_component, named_configuration, parse_scheme,
+                     verify_published_generators)
 
 
 class UsageError(ValueError):
@@ -216,13 +217,7 @@ def cmd_derived(args):
     if args.min_count < 2:
         raise UsageError("--min-count must be at least 2")
     flats = derived_flats(arr, args.flat_dim, args.min_count)
-    listing = []
-    for fl in flats:
-        if fl.dim == 0:
-            listing.append(f"point {fl.point()}")
-        else:
-            eqs = ", ".join(str(p) for p in fl.equation_polys())
-            listing.append(f"flat {{ eq: {eqs} }}")
+    listing = [format_component(fl) for fl in flats]
     params = {"spec": format_spec(arr), "flat_dim": args.flat_dim,
               "min_count": args.min_count}
     result = {"flat_count": len(flats), "flats": listing}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .arrange import Flat, parse_id
@@ -62,7 +62,7 @@ class BuiltFormula:
         flat = self.poly.partial_evaluate(dict(enumerate(coords)))
         np_ = self.npoint
         terms = {e[np_:]: c for e, c in flat.terms.items()}
-        return MultiPoly(self.ncoord, flat.order, terms, self.coord_names)
+        return MultiPoly(self.ncoord, terms, self.coord_names)
 
     def __repr__(self):  # pragma: no cover
         return (f"BuiltFormula({self.family}, deg={self.degree}, "
@@ -135,7 +135,7 @@ def fermat_family_curve(m: int) -> BuiltFormula:
         # Each orbit line carries its own point coordinate (a, b, c in
         # turn); a common a-factor would break the cyclic symmetry that
         # the three fixed-order builders exhibit.
-        q = MultiPoly.zero(6, 1, tuple("abc") + ("x0", "x1", "x2"))
+        q = MultiPoly.zero(6, tuple("abc") + ("x0", "x1", "x2"))
         for k in range(1, m // 2 + 2):
             co = math.comb(m + 1, 2 * k - 1)
             s = m - (2 * k - 2)
@@ -291,17 +291,16 @@ def membership_in_fat_ideal(n: int = 3,
     return certified and attained >= 4
 
 
-def mult4_cofactor_reconciliation(n: int = 3) -> str | None:
+def mult4_cofactor_reconciliation() -> str | None:
     """Attempt to complete the cofactor presentation of c^4 times the
-    multiplicity-4 curve over the generators of the fourth ideal power.
+    multiplicity-4 curve for n = 3, the only n with linear cofactors, over
+    the generators of the fourth ideal power.
 
     One cofactor term, (2*a^3*c + c^4), arrives without an ambient
     variable and is degree-deficient as given.  Each of x, y, z is
     inserted in turn; returns the name that makes the identity exact, or
-    None when no single insertion does.  Only n = 3 has linear cofactors.
+    None when no single insertion does.
     """
-    if n != 3:
-        raise ValueError("the cofactor presentation is specific to n = 3")
     a, b, c, x, y, z = _ring("abc", "xyz")
     f1 = c * x - a * z
     f2 = c * y - b * z
@@ -331,12 +330,15 @@ def equal_up_to_scalar(p: MultiPoly, q: MultiPoly) -> bool:
 
 # -- numeric bridge to the condition matrices --------------------------------
 
-def _random_point(rng: random.Random, arity: int, box: int) -> list[Fraction]:
+_POINT_BOX = 99  # general point coordinates are nonzero ints in [-99, 99]
+
+
+def _random_point(rng: random.Random, arity: int) -> list[Fraction]:
     coords = []
     for _ in range(arity):
         v = 0
         while not v:
-            v = rng.randint(-box, box)
+            v = rng.randint(-_POINT_BOX, _POINT_BOX)
         coords.append(Fraction(v))
     return coords
 
@@ -344,15 +346,14 @@ def _random_point(rng: random.Random, arity: int, box: int) -> list[Fraction]:
 def specialized_kernel_membership(form: BuiltFormula,
                                   config: NamedConfig | None = None,
                                   degree: int | None = None,
-                                  seed: int = 0,
-                                  box: int = 99) -> bool:
+                                  seed: int = 0) -> bool:
     """Pin the general point to random rational coordinates and test that
     the specialized coefficient vector is annihilated by every condition
     row: the configuration's own rows plus the fat point's rows."""
     cfg = config if config is not None else named_configuration(form.config_id)
     d = form.degree if degree is None else degree
     rng = random.Random(seed)
-    coords = _random_point(rng, form.npoint, box)
+    coords = _random_point(rng, form.npoint)
     spec = form.specialize(coords)
     if spec.is_zero():
         return False
@@ -369,22 +370,23 @@ def specialized_kernel_membership(form: BuiltFormula,
 @dataclass(frozen=True)
 class FamilyRecord:
     """Verification plan for one family: which configuration, which degree,
-    and which general fat scheme the dimension count runs against."""
+    which general fat scheme the dimension count runs against, and the
+    built closed form (None for the existence-only P5 family)."""
 
     family: str
     config_id: str
     degree: int
     template: tuple[tuple[int, int], ...]
-    closed_form: bool
+    form: BuiltFormula | None
 
 
 def family_record(family: str) -> FamilyRecord:
     head, params = parse_id(family, "family")
     if head == "P5" and not params:
-        return FamilyRecord("P5", "P5_MULTI", 4, ((0, 3), (0, 2)), False)
+        return FamilyRecord("P5", "P5_MULTI", 4, ((0, 3), (0, 2)), None)
     form = build_formula(family)
     return FamilyRecord(form.family, form.config_id, form.degree,
-                        ((0, form.multiplicity),), True)
+                        ((0, form.multiplicity),), form)
 
 
 @dataclass(frozen=True)
@@ -405,21 +407,7 @@ class FamilyReport:
     decision: UnexpectednessReport
 
     def as_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "config_id": self.config_id,
-            "degree": self.degree,
-            "built_degree": self.built_degree,
-            "point_degree": self.point_degree,
-            "vanishing": self.vanishing,
-            "multiplicity_attained": self.multiplicity_attained,
-            "multiplicity_certified": self.multiplicity_certified,
-            "multiplicity_expected": self.multiplicity_expected,
-            "kernel_member": self.kernel_member,
-            "unique": self.unique,
-            "decision": self.decision.as_dict(),
-        }
-        return out
+        return {**asdict(self), "decision": self.decision.as_dict()}
 
 
 def uniqueness_check(family: str, trials: int = 2, seed: int = 0) -> bool:
@@ -439,8 +427,8 @@ def verify_family(family: str, trials: int = 2, seed: int = 0) -> FamilyReport:
     built_degree = point_degree = None
     vanishing = kernel_member = certified = None
     attained = expected_mult = None
-    if rec.closed_form:
-        form = build_formula(family)
+    form = rec.form
+    if form is not None:
         built_degree = form.poly.degree_in(
             range(form.npoint, form.npoint + form.ncoord))
         point_degree = form.point_degree()

@@ -49,20 +49,19 @@ class ConditionMatrix:
         return mat
 
 
-def _kernel_polys(vectors, nvars: int, degree: int, order: int):
+def _kernel_polys(vectors, nvars: int, degree: int):
     monos = graded_monomials(nvars, degree)
     polys = []
     for vec in vectors:
         terms = {m: c for m, c in zip(monos, vec) if not c.is_zero()}
-        polys.append(MultiPoly(nvars, order, terms))
+        polys.append(MultiPoly(nvars, terms))
     return polys
 
 
 def rank_kernel(mat: ConditionMatrix):
     """Exact rank and kernel basis (as polynomials) of a condition matrix."""
     elim = eliminate(mat.rows, mat.ncols, mat.order)
-    kernel = _kernel_polys(elim.kernel_basis(), mat.ambient + 1,
-                           mat.degree, mat.order)
+    kernel = _kernel_polys(elim.kernel_basis(), mat.ambient + 1, mat.degree)
     return elim.rank, kernel
 
 
@@ -131,7 +130,7 @@ def random_flat(rng: random.Random, ambient: int, dim: int,
 
 
 def decide_unexpected(Z: FatScheme, X_template, d: int, trials: int = 3,
-                      seed: int = 0, box: int = DEFAULT_BOX) -> UnexpectednessReport:
+                      seed: int = 0) -> UnexpectednessReport:
     """Decide whether Z admits an unexpected degree-d hypersurface with
     respect to random general flats drawn from the template.
 
@@ -169,7 +168,7 @@ def decide_unexpected(Z: FatScheme, X_template, d: int, trials: int = 3,
     for _ in range(trials):
         elim = base.clone()
         for r, m in template:
-            fl = random_flat(rng, N, r, box)
+            fl = random_flat(rng, N, r)
             for row in component_rows(fl, m, d):
                 elim.add_field_row(row)
         values.append(base_mat.ncols - elim.rank)

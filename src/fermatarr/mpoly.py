@@ -1,19 +1,22 @@
 """Sparse multivariate polynomials over Q(e_n) and projective points.
 
 Terms are a dict from exponent tuple to nonzero coefficient; the zero
-polynomial is the empty dict.  Printing and parsing share one grammar:
-sums of products of rational literals, e(n) root literals, variable names
-and parenthesised subexpressions, with ^ for nonnegative integer powers.
+polynomial is the empty dict.  A polynomial's field is the field of its
+coefficients: each CyclotomicNumber keeps the order it carries, and its
+own mixed-order arithmetic, == and hash do every lift.  Printing and
+parsing share one grammar: sums of products of rational literals, e(n)
+root literals, variable names and parenthesised subexpressions, with ^
+for nonnegative integer powers.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CyclotomicNumber, as_field, common_order
 
 Coeff = CyclotomicNumber
+_ZERO = CyclotomicNumber.zero()
 
 
 def default_names(nvars: int) -> tuple[str, ...]:
@@ -35,11 +38,11 @@ def graded_monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 class MultiPoly:
-    """A polynomial in nvars variables with coefficients in Q(e_order)."""
+    """A polynomial in nvars variables with CyclotomicNumber coefficients."""
 
-    __slots__ = ("nvars", "order", "terms", "names")
+    __slots__ = ("nvars", "terms", "names")
 
-    def __init__(self, nvars: int, order: int, terms=None, names=None) -> None:
+    def __init__(self, nvars: int, terms=None, names=None) -> None:
         names = tuple(names) if names is not None else default_names(nvars)
         if len(names) != nvars:
             raise ValueError("names length must equal nvars")
@@ -49,58 +52,50 @@ class MultiPoly:
                 exps = tuple(exps)
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps}")
-                c = as_field(c, order)
+                if not isinstance(c, CyclotomicNumber):
+                    c = CyclotomicNumber.from_rational(c)
                 if c:
                     clean[exps] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "names", names)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
 
-    def _make(self, terms: dict, order: int | None = None) -> "MultiPoly":
-        """A result in self's variables from terms already in Q(e_order)
-        (self.order by default): arithmetic skips the validation of
-        __init__ and only drops the zero coefficients."""
+    def _make(self, terms: dict) -> "MultiPoly":
+        """A result in self's variables from CyclotomicNumber terms; arithmetic
+        skips the validation of __init__ and only drops zero coefficients."""
         out = object.__new__(MultiPoly)
         object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "order", self.order if order is None else order)
         object.__setattr__(out, "terms", {e: c for e, c in terms.items() if c})
         object.__setattr__(out, "names", self.names)
         return out
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, nvars: int, order: int = 1, names=None) -> "MultiPoly":
-        return cls(nvars, order, {}, names)
+    def zero(cls, nvars: int, names=None) -> "MultiPoly":
+        return cls(nvars, {}, names)
 
     @classmethod
-    def constant(cls, value, nvars: int, order: int = 1, names=None) -> "MultiPoly":
-        return cls(nvars, order, {(0,) * nvars: value}, names)
+    def constant(cls, value, nvars: int, names=None) -> "MultiPoly":
+        return cls(nvars, {(0,) * nvars: value}, names)
 
     @classmethod
-    def variable(cls, i: int, nvars: int, order: int = 1, names=None) -> "MultiPoly":
+    def variable(cls, i: int, nvars: int, names=None) -> "MultiPoly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, order, {exps: 1}, names)
+        return cls(nvars, {exps: 1}, names)
 
     # -- coercion ---------------------------------------------------------
-    def with_order(self, order: int) -> "MultiPoly":
-        if order == self.order:
-            return self
-        return self._make({e: c.lift(order) for e, c in self.terms.items()}, order)
-
-    def _pair(self, other):
+    def _coerce(self, other):
+        """other as a MultiPoly in self's variables, or None."""
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = MultiPoly.constant(other, self.nvars,
-                                       common_order((other,)), self.names)
+            return MultiPoly.constant(other, self.nvars, self.names)
         if not isinstance(other, MultiPoly):
-            return self, None
+            return None
         if other.nvars != self.nvars:
             raise ValueError("variable counts differ")
-        n = math.lcm(self.order, other.order)
-        return self.with_order(n), other.with_order(n)
+        return other
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -126,13 +121,13 @@ class MultiPoly:
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        a, b = self._pair(other)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
-        terms = dict(a.terms)
+        terms = dict(self.terms)
         for e, c in b.terms.items():
             terms[e] = terms[e] + c if e in terms else c
-        return a._make(terms)
+        return self._make(terms)
 
     __radd__ = __add__
 
@@ -147,26 +142,24 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            n = math.lcm(self.order, common_order((other,)))
-            c0 = as_field(other, n)
-            return self._make({e: c.lift(n) * c0 for e, c in self.terms.items()}, n)
-        a, b = self._pair(other)
+            return self._make({e: c * other for e, c in self.terms.items()})
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
         terms: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in a.terms.items():
+        for e1, c1 in self.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 c = c1 * c2
                 terms[e] = terms[e] + c if e in terms else c
-        return a._make(terms)
+        return self._make(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = MultiPoly.constant(1, self.nvars, self.order, self.names)
+        out = MultiPoly.constant(1, self.nvars, self.names)
         base = self
         while k:
             if k & 1:
@@ -180,14 +173,12 @@ class MultiPoly:
             return (self - other).is_zero()
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if other.nvars != self.nvars:
-            return False
-        a, b = self._pair(other)
-        return a.terms == b.terms
+        return other.nvars == self.nvars and self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its coefficient as a scalar, so it hashes like
-        # it; coefficient hashes do not depend on the order, so neither may this
+        # it; coefficient hashes do not depend on the stored order, so
+        # neither does this
         if not self.terms:
             return hash(0)
         if self.degree() == 0:
@@ -213,18 +204,15 @@ class MultiPoly:
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
         value = self.partial_evaluate(dict(enumerate(coords)))
-        return value.terms.get((0,) * self.nvars, CyclotomicNumber.zero(value.order))
+        return value.terms.get((0,) * self.nvars, _ZERO)
 
     def partial_evaluate(self, assign: dict) -> "MultiPoly":
         """Substitute constants for some variables, keeping nvars fixed."""
-        order = math.lcm(self.order, common_order(assign.values()))
-        vals = {i: as_field(v, order) for i, v in assign.items()}
-        power = lru_cache(maxsize=None)(lambda i, k: vals[i] ** k)
+        power = lru_cache(maxsize=None)(lambda i, k: assign[i] ** k)
         terms: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
-            c = c.lift(order)
             ne = list(e)
-            for i in vals:
+            for i in assign:
                 k = e[i]
                 if k:
                     c = c * power(i, k)
@@ -232,7 +220,7 @@ class MultiPoly:
             if c:
                 key = tuple(ne)
                 terms[key] = terms[key] + c if key in terms else c
-        return self._make(terms, order)
+        return self._make(terms)
 
     def substitute_linear(self, matrix, new_names=None) -> "MultiPoly":
         """Ring substitution x_i -> sum_j matrix[i][j] * y_j.
@@ -246,14 +234,13 @@ class MultiPoly:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged substitution matrix")
-        order = math.lcm(self.order, common_order(v for r in rows for v in r))
         names = tuple(new_names) if new_names is not None else default_names(m)
         units = graded_monomials(m, 1)  # the exponent tuple of y_j is units[j]
-        lin = [MultiPoly(m, order, dict(zip(units, r)), names) for r in rows]
+        lin = [MultiPoly(m, dict(zip(units, r)), names) for r in rows]
         power = lru_cache(maxsize=None)(lambda i, k: lin[i] ** k)
-        out = MultiPoly.zero(m, order, names)
+        out = MultiPoly.zero(m, names)
         for e, c in self.terms.items():
-            piece = MultiPoly.constant(c, m, order, names)
+            piece = MultiPoly.constant(c, m, names)
             for i, k in enumerate(e):
                 if k:
                     piece = piece * power(i, k)
@@ -263,7 +250,7 @@ class MultiPoly:
     def coeff_vector(self, monomials) -> list[Coeff]:
         """Coefficients against an explicit monomial list; support must be covered."""
         index = {m: i for i, m in enumerate(monomials)}
-        vec = [CyclotomicNumber.zero(self.order)] * len(monomials)
+        vec = [_ZERO] * len(monomials)
         for e, c in self.terms.items():
             if e not in index:
                 raise ValueError(f"monomial {e} outside the given basis")
@@ -393,7 +380,7 @@ class _Tokens:
         return tok
 
 
-def parse_poly(text: str, names, order: int = 1) -> MultiPoly:
+def parse_poly(text: str, names) -> MultiPoly:
     """Parse the printing grammar back into a MultiPoly."""
     names = tuple(names)
     index = {nm: i for i, nm in enumerate(names)}
@@ -452,7 +439,7 @@ def parse_poly(text: str, names, order: int = 1) -> MultiPoly:
                 if base.degree() not in (0, None) or not base.terms:
                     raise ValueError("negative powers only on nonzero constants")
                 (c,) = base.terms.values()
-                return MultiPoly.constant(c.inverse(), nvars, base.order, names) ** k
+                return MultiPoly.constant(c.inverse(), nvars, names) ** k
             return base ** k
         return base
 
@@ -463,7 +450,7 @@ def parse_poly(text: str, names, order: int = 1) -> MultiPoly:
             toks.take(")")
             return inner
         if kind == "int":
-            return MultiPoly.constant(int(val), nvars, order, names)
+            return MultiPoly.constant(int(val), nvars, names)
         if kind == "-":
             return -parse_atom()
         if kind == "name":
@@ -471,11 +458,10 @@ def parse_poly(text: str, names, order: int = 1) -> MultiPoly:
                 toks.take("(")
                 _, digits = toks.take("int")
                 toks.take(")")
-                n = int(digits)
-                root = CyclotomicNumber.root(n)
-                return MultiPoly.constant(root, nvars, math.lcm(order, n), names)
+                root = CyclotomicNumber.root(int(digits))
+                return MultiPoly.constant(root, nvars, names)
             if val in index:
-                return MultiPoly.variable(index[val], nvars, order, names)
+                return MultiPoly.variable(index[val], nvars, names)
             raise ValueError(f"unknown variable {val!r}")
         raise ValueError(f"unexpected token {val!r}")
 
@@ -485,7 +471,7 @@ def parse_poly(text: str, names, order: int = 1) -> MultiPoly:
     return result
 
 
-def parse_point(text: str, order: int = 1) -> ProjPoint:
+def parse_point(text: str) -> ProjPoint:
     """Parse '(c0 : c1 : ...)' with rational and e(n)^k coordinate literals."""
     t = text.strip()
     if not (t.startswith("(") and t.endswith(")")):
@@ -493,6 +479,6 @@ def parse_point(text: str, order: int = 1) -> ProjPoint:
     parts = t[1:-1].split(":")
     coords = []
     for p in parts:
-        poly = parse_poly(p.strip() or "0", (), order)
-        coords.append(poly.terms.get((), CyclotomicNumber.zero(poly.order)))
+        poly = parse_poly(p.strip() or "0", ())
+        coords.append(poly.terms.get((), _ZERO))
     return ProjPoint(coords)

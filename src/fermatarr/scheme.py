@@ -13,9 +13,11 @@ used as cross-checks against the first-principles construction.
 
 from __future__ import annotations
 
+import itertools
 from math import comb, lcm, perm
 
-from .arrange import Flat, dual_points, fermat_arrangement, parse_id
+from .arrange import (Flat, derived_flats, dual_points, fermat_arrangement,
+                      parse_id)
 from .cyclo import CyclotomicNumber, euler_phi
 from .linalg import _field_row_to_int
 from .mpoly import (MultiPoly, ProjPoint, default_names, graded_monomials,
@@ -62,14 +64,18 @@ class FatScheme:
         return f"FatScheme(ambient={self.ambient}, {len(self)} components)"
 
 
+def format_component(flat: Flat) -> str:
+    """A component without its multiplicity: point (...) or flat { eq: ... }."""
+    if flat.dim == 0:
+        return f"point {flat.point()}"
+    eqs = ", ".join(str(p) for p in flat.equation_polys())
+    return f"flat {{ eq: {eqs} }}"
+
+
 def format_scheme(scheme: FatScheme) -> str:
     lines = [f"ambient {scheme.ambient}"]
-    for flat, mult in scheme.components:
-        if flat.dim == 0:
-            lines.append(f"point {flat.point()} mult {mult}")
-        else:
-            eqs = ", ".join(str(p) for p in flat.equation_polys())
-            lines.append(f"flat {{ eq: {eqs} }} mult {mult}")
+    lines += [f"{format_component(flat)} mult {mult}"
+              for flat, mult in scheme.components]
     return "\n".join(lines) + "\n"
 
 
@@ -93,8 +99,13 @@ def parse_scheme(text: str) -> FatScheme:
             continue
         try:
             if line.startswith("ambient"):
-                ambient = int(line.split()[1])
+                words = line.split()
+                if len(words) != 2:
+                    raise ValueError("expected 'ambient N'")
+                ambient = int(words[1])
                 continue
+            if "mult" not in line:
+                raise ValueError("expected a component line ending in 'mult M'")
             body, mult_text = line.rsplit("mult", 1)
             mult = int(mult_text)
             body = body.strip()
@@ -387,14 +398,12 @@ def _build_p5_multi() -> NamedConfig:
         coords = [_ZERO] * 6
         coords[i] = _ONE
         points.append(ProjPoint(tuple(coords)))
-    import itertools
     for expo in itertools.product(range(3), repeat=5):
         points.append(ProjPoint((_ONE,) + tuple(eps ** e for e in expo)))
     return NamedConfig("P5_MULTI", _points_scheme(points, 5))
 
 
 def _build_lines42() -> NamedConfig:
-    from .arrange import derived_flats
     arr = fermat_arrangement(3, 3, -1)
     lines = derived_flats(arr, 1, 3)
     scheme = FatScheme(3, [(fl, 1) for fl in lines])
@@ -405,7 +414,6 @@ def _build_lines42() -> NamedConfig:
 def _build_mult4_points(n: int) -> NamedConfig:
     if n < 3:
         raise ValueError("MULT4_POINTS requires n >= 3")
-    from .arrange import derived_flats
     arr = fermat_arrangement(2, n, -1)
     points = derived_flats(arr, 0, 2)
     scheme = FatScheme(2, [(fl, 1) for fl in points])

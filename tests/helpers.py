@@ -85,7 +85,7 @@ def chart_rows(flat, m: int, d: int):
     pivots = [next(i for i, c in enumerate(row) if c) for row in flat.equations]
     matrix = [[b[i] for b in basis] + [int(i == j) for j in pivots]
               for i in range(nvars)]
-    images = [MultiPoly(nvars, flat.order, {alpha: 1}).substitute_linear(matrix)
+    images = [MultiPoly(nvars, {alpha: 1}).substitute_linear(matrix)
               for alpha in graded_monomials(nvars, d)]
     return [tuple(img.terms.get(e, 0) for img in images)
             for e in graded_monomials(nvars, d) if sum(e[len(basis):]) < m]

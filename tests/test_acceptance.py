@@ -259,7 +259,7 @@ def test_criterion_11_property_suites():
             for mono in graded_monomials(nvars, deg):
                 if rng.random() < 0.4:
                     terms[mono] = rng.randint(-9, 9)
-            p = MultiPoly(nvars, 1, terms)
+            p = MultiPoly(nvars, terms)
             euler = MultiPoly.zero(nvars)
             for i in range(nvars):
                 euler = euler + MultiPoly.variable(i, nvars) * p.partial(i)

@@ -86,8 +86,7 @@ def test_defining_polynomial_is_fermat_product():
     for n in (1, 2, 3, 4):
         arr = fermat_arrangement(2, n, 0)
         expected = parse_poly(
-            f"x0*((x0^{n}-x1^{n})*(x0^{n}-x2^{n})*(x1^{n}-x2^{n}))",
-            names, order=max(n, 1))
+            f"x0*((x0^{n}-x1^{n})*(x0^{n}-x2^{n})*(x1^{n}-x2^{n}))", names)
         assert equal_up_to_scalar(arr.defining_polynomial(names), expected)
 
 

@@ -120,12 +120,14 @@ def test_missing_scheme_file_exits_1(capsys):
 
 def test_unparsable_scheme_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "z.scheme"
-    for body in ("point (0:0:0) mult 1", "point (1 : e(0) : 1) mult 1"):
-        bad.write_text(f"ambient 2\n{body}\n")
+    for text, lineno in (("ambient 2\npoint (0:0:0) mult 1\n", 2),
+                         ("ambient 2\npoint (1 : e(0) : 1) mult 1\n", 2),
+                         ("ambient\npoint (1:2:3) mult 1\n", 1)):
+        bad.write_text(text)
         code, _, err = run(capsys, "dimension", "--scheme", str(bad),
                            "--degree", "2")
         assert code == 1
-        assert "scheme line 2" in err
+        assert f"scheme line {lineno}" in err
 
 
 def test_dual_lists_points(capsys):

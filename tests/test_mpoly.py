@@ -28,7 +28,7 @@ def _random_poly(rng, nvars, order, max_deg=4, nterms=6):
         if order > 1 and rng.random() < 0.5:
             coeff = coeff * CyclotomicNumber.root(order)
         terms[e] = coeff
-    return MultiPoly(nvars, order, terms)
+    return MultiPoly(nvars, terms)
 
 
 def _random_homogeneous(rng, nvars, order, deg):
@@ -39,7 +39,7 @@ def _random_homogeneous(rng, nvars, order, deg):
         v = rng.randint(-5, 5)
         if v:
             terms[e] = CyclotomicNumber.from_rational(v, order)
-    return MultiPoly(nvars, order, terms)
+    return MultiPoly(nvars, terms)
 
 
 def test_euler_identity_random_instances():
@@ -52,9 +52,9 @@ def test_euler_identity_random_instances():
         p = _random_homogeneous(rng, nvars, order, deg)
         if p.is_zero():
             continue
-        total = MultiPoly.zero(nvars, order)
+        total = MultiPoly.zero(nvars)
         for i in range(nvars):
-            total = total + MultiPoly.variable(i, nvars, order) * p.partial(i)
+            total = total + MultiPoly.variable(i, nvars) * p.partial(i)
         assert total == p * deg
 
 
@@ -97,16 +97,16 @@ def test_parse_poly_round_trip():
         "e(4)^3*x0 + x2",
     )
     for s in samples:
-        p = parse_poly(s, names, order=12)
-        q = parse_poly(str(p), names, order=12)
+        p = parse_poly(s, names)
+        q = parse_poly(str(p), names)
         assert p == q
 
 
 def test_parse_poly_rejects_garbage():
     with pytest.raises(ValueError):
-        parse_poly("x0 +* x1", ("x0", "x1"), 1)
+        parse_poly("x0 +* x1", ("x0", "x1"))
     with pytest.raises(ValueError):
-        parse_poly("y0", ("x0", "x1"), 1)
+        parse_poly("y0", ("x0", "x1"))
 
 
 def test_evaluate_matches_partial_evaluate():
@@ -145,14 +145,14 @@ def test_substitute_linear_matches_evaluation():
 
 
 def test_substitute_linear_single_variable_rename():
-    p = parse_poly("x0^2 + x0*x1", ("x0", "x1"), 1)
+    p = parse_poly("x0^2 + x0*x1", ("x0", "x1"))
     swap = [[0, 1], [1, 0]]
     q = p.substitute_linear(swap)
-    assert q == parse_poly("x1^2 + x0*x1", ("x0", "x1"), 1)
+    assert q == parse_poly("x1^2 + x0*x1", ("x0", "x1"))
 
 
 def test_homogeneity_predicates():
-    p = parse_poly("x0^2*x1 - x2^3", ("x0", "x1", "x2"), 1)
+    p = parse_poly("x0^2*x1 - x2^3", ("x0", "x1", "x2"))
     assert p.is_homogeneous()
     assert p.is_homogeneous_in((0, 1, 2))
     q = p + 1
@@ -166,12 +166,12 @@ def test_coeff_vector_round_trip():
     monos = graded_monomials(3, 4)
     p = _random_homogeneous(rng, 3, 1, 4)
     vec = p.coeff_vector(monos)
-    rebuilt = MultiPoly(3, 1, {m: c for m, c in zip(monos, vec) if c})
+    rebuilt = MultiPoly(3, {m: c for m, c in zip(monos, vec) if c})
     assert rebuilt == p
 
 
 def test_coeff_vector_requires_cover():
-    p = parse_poly("x0^2", ("x0", "x1"), 1)
+    p = parse_poly("x0^2", ("x0", "x1"))
     with pytest.raises(ValueError):
         p.coeff_vector(graded_monomials(2, 1))
 
@@ -190,19 +190,40 @@ def test_proj_point_rejects_zero_vector():
 
 
 def test_pow_matches_repeated_multiplication():
-    p = parse_poly("x0 + 2*x1", ("x0", "x1"), 1)
+    p = parse_poly("x0 + 2*x1", ("x0", "x1"))
     assert p**3 == p * p * p
-    assert p**0 == parse_poly("1", ("x0", "x1"), 1)
+    assert p**0 == parse_poly("1", ("x0", "x1"))
     with pytest.raises(ValueError):
         p**-1
 
 
 def test_eq_and_hash_agree_across_orders_and_variable_counts():
     p = parse_poly("x0 + 2*x1", ("x0", "x1"))
-    q = p.with_order(3)
+    q = MultiPoly(2, {e: c.lift(3) for e, c in p.terms.items()})
+    assert {c.order for c in q.terms.values()} == {3}
     assert p == q and hash(p) == hash(q)
     assert len({p, q}) == 1
     assert p != parse_poly("x0 + 2*x1", ("x0", "x1", "x2"))
+
+
+def test_terms_at_different_stored_orders():
+    # each coefficient keeps its own order; cyclo's arithmetic does the lifts
+    names = ("x0", "x1")
+    p = parse_poly("e(3)*x0 + e(4)*x1", names)
+    q = parse_poly("x0 - e(4)*x1", names)
+    assert {c.order for c in p.terms.values()} == {3, 4}
+    assert str(p) == "e(3)*x0 + e(4)*x1"
+    e3, e4 = CyclotomicNumber.root(3), CyclotomicNumber.root(4)
+    assert (p + q).terms == {(1, 0): e3 + 1}
+    prod = p * q
+    assert prod.terms == {(2, 0): e3, (1, 1): e4 - e3 * e4, (0, 2): 1}
+    pt = [CyclotomicNumber.root(5, k) + k for k in (1, 2)]
+    for r in (p, q, p + q, prod):
+        lifted = MultiPoly(2, {e: c.lift(12) for e, c in r.terms.items()})
+        assert r == lifted and hash(r) == hash(lifted)
+        assert parse_poly(str(r), names) == r
+        by_term = sum(c * pt[0]**e[0] * pt[1]**e[1] for e, c in r.terms.items())
+        assert r.evaluate(pt) == by_term
 
 
 def test_constants_hash_like_the_scalars_they_equal():
@@ -211,4 +232,4 @@ def test_constants_hash_like_the_scalars_they_equal():
     zero = MultiPoly.zero(2)
     assert zero == 0 and hash(zero) == hash(0)
     c = CyclotomicNumber.root(3)
-    assert len({MultiPoly.constant(c, 2, 3), c}) == 1
+    assert len({MultiPoly.constant(c, 2), c}) == 1

@@ -93,7 +93,7 @@ def _generator_span_dim(cfg, d):
         if g.degree() > d:
             continue
         for mono in graded_monomials(nvars, d - g.degree()):
-            mult = g * MultiPoly(nvars, g.order, {mono: 1})
+            mult = g * MultiPoly(nvars, {mono: 1})
             elim.add_field_row(mult.coeff_vector(cols))
     return elim.rank
 
@@ -121,7 +121,7 @@ def test_m3_generator_list_is_truncated():
     elim = Eliminator(len(cols), cfg.scheme.root_order)
     for g in cfg.published_generators:
         for mono in graded_monomials(3, 5 - g.degree()):
-            elim.add_field_row((g * MultiPoly(3, g.order, {mono: 1})).coeff_vector(cols))
+            elim.add_field_row((g * MultiPoly(3, {mono: 1})).coeff_vector(cols))
     assert elim.add_field_row(missing.coeff_vector(cols))  # novel direction
     # yet it lies in the ideal: appending it to the condition rows' kernel test
     rows = ConditionMatrix.from_scheme(cfg.scheme, 5).rows
@@ -354,6 +354,10 @@ def test_scheme_parse_errors_carry_line_numbers():
         parse_scheme("")
     with pytest.raises(ValueError, match="scheme line 2"):
         parse_scheme("ambient 2\nblob (1:2:3) mult 1\n")
+    with pytest.raises(ValueError, match="scheme line 1: expected 'ambient N'"):
+        parse_scheme("ambient\npoint (1:2:3) mult 1\n")
+    with pytest.raises(ValueError, match="scheme line 2: .*'mult M'"):
+        parse_scheme("ambient 2\npoint (1:2:3)\n")
 
 
 def test_scheme_parse_ignores_comments_and_blanks():
