@@ -1,15 +1,16 @@
 """Fat schemes, named configurations, conditions counts, condition rows."""
 
+import hashlib
 import random
 
 import pytest
 from helpers import chart_rows, field_rank_oracle
 
 from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
-from fermatarr.cyclo import CyclotomicNumber
+from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.interp import (ConditionMatrix, hilbert_function, random_flat,
                               system_dimension)
-from fermatarr.linalg import Eliminator, rank_of_field_rows
+from fermatarr.linalg import Eliminator, _field_row_to_int, rank_of_field_rows
 from fermatarr.mpoly import MultiPoly, ProjPoint, graded_monomials, parse_point
 from fermatarr.scheme import (
     FatScheme,
@@ -206,6 +207,31 @@ def test_component_rows_are_independent_and_span_the_chart_rows():
         assert len(chart) == count
         assert len(rows) == rank_of_field_rows(rows, ncols, flat.order) == count
         assert rank_of_field_rows(rows + chart, ncols, flat.order) == count
+
+
+def test_component_rows_values_are_pinned():
+    # rank and span leave the rows themselves free; this pins their values,
+    # up to the primitive scaling linalg applies anyway, on random rational
+    # flats up to P^4, two LINES42 lines and three cyclotomic points
+    rng = random.Random(29)
+    flats = [random_flat(rng, N, r, box=5) for N in range(1, 5) for r in range(N)]
+    flats += [fl for fl, _ in named_configuration("LINES42").scheme.components[:2]]
+    flats += [fl for fl, _ in
+              named_configuration("MULT4_POINTS(5)").scheme.components[-2:]]
+    flats.append(next(fl for fl, _ in
+                      named_configuration("FERMAT_DUAL(7,1)").scheme.components
+                      if fl.order > 1))
+    digest = hashlib.sha256()
+    for flat in flats:
+        phi = euler_phi(flat.order)
+        for m in range(1, 5):
+            for d in range(7):
+                for row in component_rows(flat, m, d):
+                    image = _field_row_to_int(row, flat.order, phi)
+                    digest.update(repr(image).encode())
+                digest.update(b";")
+    assert digest.hexdigest() == \
+        "8c2db4e5628133b63286077d26bd5590f07c2d6afe8cf9fd819a311e4036dd5b"
 
 
 def test_low_degree_components_kill_everything():
