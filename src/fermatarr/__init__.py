@@ -24,7 +24,6 @@ from .formulas import (
     membership_in_fat_ideal,
     symbolic_multiplicity_at_general,
     symbolic_vanishing_on_Z,
-    uniqueness_check,
     verify_family,
 )
 from .interp import (

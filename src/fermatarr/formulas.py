@@ -410,16 +410,6 @@ class FamilyReport:
         return {**asdict(self), "decision": self.decision.as_dict()}
 
 
-def uniqueness_check(family: str, trials: int = 2, seed: int = 0) -> bool:
-    """True iff the system cut out by the configuration plus the general
-    fat scheme is a single form up to scalar (actual dimension 1)."""
-    rec = family_record(family)
-    cfg = named_configuration(rec.config_id)
-    report = decide_unexpected(cfg.scheme, rec.template, rec.degree,
-                               trials=trials, seed=seed)
-    return report.actual == 1
-
-
 def verify_family(family: str, trials: int = 2, seed: int = 0) -> FamilyReport:
     """Run every applicable check for one family and collect the verdicts."""
     rec = family_record(family)

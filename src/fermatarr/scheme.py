@@ -7,6 +7,14 @@ in characteristic 0 the Euler identity makes the top-order partials
 sufficient, and conditions_count independent ones are kept, which the
 test suite checks against jets in coordinates adapted to the flat.
 
+The rows are read off two tables.  The restrictions of the x-monomials
+to the flat are dense lists over the monomials in the flat's parameters,
+built by a DFS that shares prefix products; a point has one parameter,
+so there they are plain products of coordinate powers.  The columns and
+falling-factorial scales of the partials depend only on the number of
+variables, the derivative order and the degree, so one bounded cache
+holds them for every component, degree and trial.
+
 Named configurations ship the published ideal generators where available,
 used as cross-checks against the first-principles construction.
 """
@@ -14,6 +22,7 @@ used as cross-checks against the first-principles construction.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, lcm, perm
 
 from .arrange import (Flat, derived_flats, dual_points, fermat_arrangement,
@@ -33,6 +42,8 @@ class FatScheme:
     __slots__ = ("ambient", "components", "root_order")
 
     def __init__(self, ambient: int, components):
+        if ambient < 1:
+            raise ValueError("the ambient dimension must be >= 1")
         comps = []
         seen = set()
         for flat, mult in components:
@@ -103,6 +114,8 @@ def parse_scheme(text: str) -> FatScheme:
                 if len(words) != 2:
                     raise ValueError("expected 'ambient N'")
                 ambient = int(words[1])
+                if ambient < 1:
+                    raise ValueError("the ambient dimension must be >= 1")
                 continue
             if "mult" not in line:
                 raise ValueError("expected a component line ending in 'mult M'")
@@ -170,11 +183,6 @@ def conditions_count_line_p3(m: int, d: int) -> int:
     return comb(m + 1, 2) * (d + 1) - 2 * comb(m + 1, 3)
 
 
-def general_point_count(N: int, m: int) -> int:
-    """Conditions expected from one general fat point: C(N+m-1, N)."""
-    return comb(N + m - 1, N)
-
-
 def plane_point_count(m: int) -> int:
     """The plane-style count C(m+1, 2) used by the multi-point definition."""
     return comb(m + 1, 2)
@@ -183,49 +191,111 @@ def plane_point_count(m: int) -> int:
 # ---------------------------------------------------------------------------
 # Condition rows
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            prev = out.get(key)
-            out[key] = va * vb if prev is None else prev + va * vb
-    return {k: v for k, v in out.items() if v}
+@lru_cache(maxsize=256)
+def _product_table(svars: int, a: int, b: int):
+    """table[i][j] is the position of u_i + v_j in graded_monomials(svars,
+    a + b), for u_i of degree a and v_j of degree b in graded order."""
+    index = {mu: j for j, mu in enumerate(graded_monomials(svars, a + b))}
+    right = graded_monomials(svars, b)
+    return tuple(tuple(index[tuple(x + y for x, y in zip(u, v))] for v in right)
+                 for u in graded_monomials(svars, a))
 
 
-def _restriction_expansions(basis, nvars: int, svars: int, deg: int) -> dict:
-    """Expansions of every degree-deg x-monomial under x_i := sum_t basis[t][i]*s_t.
+def _dense_mul(a: list, b: list, size: int, table) -> list:
+    """The product, of length size, of two dense s-polynomials; None and
+    zero entries are absent terms."""
+    out = [None] * size
+    for x, row in zip(a, table):
+        if x:
+            for y, j in zip(b, row):
+                if y:
+                    prev = out[j]
+                    out[j] = x * y if prev is None else prev + x * y
+    return out
 
-    Returns {x-exponent: {s-exponent: coefficient}}.  Prefix products are
-    shared along a DFS over the exponent vector.
+
+def _scalar_mul(x, y):
+    """x*y, with the products by zero and by the int 1 skipped."""
+    if not x or not y:
+        return 0
+    if type(x) is int and x == 1:
+        return y
+    if type(y) is int and y == 1:
+        return x
+    return x * y
+
+
+def _expansions(basis, nvars: int, deg: int) -> list:
+    """The images of the degree-deg x-monomials under
+    x_i := sum_t basis[t][i]*s_t, in graded_monomials(nvars, deg) order.
+
+    Each image is a dense list over graded_monomials(len(basis), deg), in
+    which None and zero entries are absent terms.  The powers of each x_i
+    are built once, and a DFS over the exponent vector shares prefix
+    products, one product per node.  A point (one s) is the scalar case:
+    an image is a product of coordinate powers.
     """
-    unit = {(0,) * svars: 1}
-    linears = []
-    for i in range(nvars):
-        form = {}
-        for t in range(svars):
-            v = basis[t][i]
-            if v:
-                key = tuple(1 if j == t else 0 for j in range(svars))
-                form[key] = v
-        linears.append(form)
-    pows = []
-    for i in range(nvars):
-        row = [unit]
-        for _ in range(deg):
-            row.append(_dict_mul(row[-1], linears[i]))
-        pows.append(row)
-    out = {}
+    svars = len(basis)
+    if svars == 1:
+        def mul(acc, power, a, b):
+            return _scalar_mul(acc, power)
 
-    def descend(i, remaining, prefix, acc):
-        if i == nvars - 1:
-            out[prefix + (remaining,)] = _dict_mul(acc, pows[i][remaining])
+        unit, linears = 1, basis[0]
+    else:
+        sizes = [len(graded_monomials(svars, e)) for e in range(deg + 1)]
+
+        def mul(acc, power, a, b):
+            if not a:
+                return power
+            if not b:
+                return acc
+            return _dense_mul(acc, power, sizes[a + b],
+                              _product_table(svars, a, b))
+
+        # linears[i]: the coefficients of x_i on s_0, ..., s_(svars-1)
+        unit, linears = [1], list(zip(*basis))
+    pows = []
+    for linear in linears:
+        row = [unit]
+        for e in range(deg):
+            row.append(mul(row[-1], linear, e, 1))
+        pows.append(row)
+    out = []
+    final = nvars - 1
+
+    def descend(i, remaining, acc):
+        done = deg - remaining
+        if i == final:
+            out.append(mul(acc, pows[i][remaining], done, remaining))
             return
         for e in range(remaining, -1, -1):
-            descend(i + 1, remaining - e, prefix + (e,), _dict_mul(acc, pows[i][e]))
+            descend(i + 1, remaining - e, mul(acc, pows[i][e], done, e))
 
-    descend(0, deg, (), unit)
-    return out
+    descend(0, deg, unit)
+    return [[v] for v in out] if svars == 1 else out
+
+
+@lru_cache(maxsize=256)
+def _derivative_table(nvars: int, k: int, deg: int):
+    """For each beta of degree k, in graded order, the pair (columns,
+    scales) over the gammas of graded_monomials(nvars, deg) in order: the
+    column of alpha = beta + gamma in graded_monomials(nvars, k + deg), and
+    prod perm(alpha_i, beta_i), so that d^beta x^alpha = scale * x^gamma."""
+    index = {alpha: j for j, alpha in enumerate(graded_monomials(nvars, k + deg))}
+    gammas = graded_monomials(nvars, deg)
+    table = []
+    for beta in graded_monomials(nvars, k):
+        columns, scales = [], []
+        for gamma in gammas:
+            alpha = tuple(b + c for b, c in zip(beta, gamma))
+            scale = 1
+            for a, b in zip(alpha, beta):
+                if b:
+                    scale *= perm(a, b)
+            columns.append(index[alpha])
+            scales.append(scale)
+        table.append((tuple(columns), tuple(scales)))
+    return tuple(table)
 
 
 def _integral_vector(vec, order: int):
@@ -261,36 +331,40 @@ def component_rows(flat: Flat, mult: int, d: int):
     flat hold only ints, and those of a cyclotomic flat hold ints beside
     CyclotomicNumbers.  Scaling b_t by c multiplies each row by a power
     product of the c's, which changes no rank, dimension or kernel.
+
+    As d^beta x^(beta+gamma) = prod perm(beta_i+gamma_i, beta_i) x^gamma,
+    the row of (beta, mu) holds, in the column of beta + gamma, that scale
+    times the coefficient of s^mu in the restriction of x^gamma, |gamma| =
+    d-k.  _expansions gives those restrictions as dense lists, and
+    _derivative_table, shared by every call with the same (N+1, k, d-k),
+    gives the columns and scales.
     """
     nvars = flat.ambient + 1
-    cols = graded_monomials(nvars, d)
     k = min(mult, d + 1) - 1
     svars = flat.dim + 1
     # a point keeps every row, so only a positive-dimensional flat needs free
     free = _free_columns(flat) if flat.dim else ()
     basis = [_integral_vector(vec, flat.order) for vec in flat.span_basis()]
-    expos = _restriction_expansions(basis, nvars, svars, d - k)
+    images = _expansions(basis, nvars, d - k)
+    # by_mu[j][g]: the coefficient of the j-th s-monomial in image g
+    by_mu = list(zip(*images))
     smonos = graded_monomials(svars, d - k)
-    kept = [[mu for mu in smonos if not any(mu[:last])]
+    kept = [[by_mu[j] for j, mu in enumerate(smonos) if not any(mu[:last])]
             for last in range(svars)]
-    index = {alpha: j for j, alpha in enumerate(cols)}
+    ncols = len(graded_monomials(nvars, d))
     rows = []
-    for beta in graded_monomials(nvars, k):
+    for beta, (columns, scales) in zip(graded_monomials(nvars, k),
+                                       _derivative_table(nvars, k, d - k)):
         last = 0
         for t, i in enumerate(free):
             if beta[i]:
                 last = t
-        prepared = [None] * len(cols)
-        for gamma, expansion in expos.items():
-            alpha = tuple(b + g for b, g in zip(beta, gamma))
-            scale = 1
-            for a, b in zip(alpha, beta):
-                scale *= perm(a, b)
-            prepared[index[alpha]] = (expansion, scale)
-        for mu in kept[last]:
-            rows.append(tuple([0 if cell is None
-                               else cell[0].get(mu, 0) * cell[1]
-                               for cell in prepared]))
+        for coeffs in kept[last]:
+            row = [0] * ncols
+            for v, col, scale in zip(coeffs, columns, scales):
+                if v:
+                    row[col] = v if scale == 1 else v * scale
+            rows.append(tuple(row))
     return rows
 
 

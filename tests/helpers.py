@@ -8,9 +8,13 @@ over Q(e_n) is expanded entrywise into phi(n) x phi(n) rational blocks of
 the regular representation, and the rank of the blown-up matrix is found by
 plain dense Gaussian elimination over Fraction.  For any matrix M over the
 field, rank_Q(blowup(M)) = phi(n) * rank_{Q(e_n)}(M).
+
+general_point_count is the count of conditions one general fat point
+imposes, C(N+m-1, N), which the conditions-count tests compare against.
 """
 
 from fractions import Fraction
+from math import comb
 
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.mpoly import MultiPoly, graded_monomials
@@ -89,3 +93,8 @@ def chart_rows(flat, m: int, d: int):
               for alpha in graded_monomials(nvars, d)]
     return [tuple(img.terms.get(e, 0) for img in images)
             for e in graded_monomials(nvars, d) if sum(e[len(basis):]) < m]
+
+
+def general_point_count(N: int, m: int) -> int:
+    """Conditions expected from one general fat point: C(N+m-1, N)."""
+    return comb(N + m - 1, N)

@@ -122,7 +122,8 @@ def test_unparsable_scheme_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "z.scheme"
     for text, lineno in (("ambient 2\npoint (0:0:0) mult 1\n", 2),
                          ("ambient 2\npoint (1 : e(0) : 1) mult 1\n", 2),
-                         ("ambient\npoint (1:2:3) mult 1\n", 1)):
+                         ("ambient\npoint (1:2:3) mult 1\n", 1),
+                         ("ambient -1\n", 1), ("ambient 0\n", 1)):
         bad.write_text(text)
         code, _, err = run(capsys, "dimension", "--scheme", str(bad),
                            "--degree", "2")

@@ -18,9 +18,9 @@ from fermatarr.formulas import (
     specialized_kernel_membership,
     symbolic_multiplicity_at_general,
     symbolic_vanishing_on_Z,
-    uniqueness_check,
     verify_family,
 )
+from fermatarr.interp import decide_unexpected
 from fermatarr.mpoly import MultiPoly, parse_poly
 from fermatarr.scheme import named_configuration
 
@@ -161,12 +161,14 @@ def test_family_record_p5_is_existence_only():
 
 
 def test_uniqueness_of_small_families():
-    assert uniqueness_check("B3")
-    assert uniqueness_check("M3")
-    assert uniqueness_check("BMSS")
-    assert uniqueness_check("GEN(5)")
-    assert uniqueness_check("GEN(7)")
-    assert uniqueness_check("MULT4(5)")
+    # the configuration plus the general fat scheme of the template cuts
+    # out a single form up to scalar
+    for family in ("B3", "M3", "BMSS", "GEN(5)", "GEN(7)", "MULT4(5)"):
+        rec = family_record(family)
+        cfg = named_configuration(rec.config_id)
+        report = decide_unexpected(cfg.scheme, rec.template, rec.degree,
+                                   trials=2, seed=0)
+        assert report.actual == 1, family
 
 
 def test_verify_family_b3_report():

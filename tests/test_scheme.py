@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from helpers import chart_rows, field_rank_oracle
+from helpers import chart_rows, field_rank_oracle, general_point_count
 
 from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
@@ -20,7 +20,6 @@ from fermatarr.scheme import (
     conditions_count_line,
     conditions_count_line_p3,
     format_scheme,
-    general_point_count,
     named_configuration,
     parse_scheme,
     plane_point_count,
@@ -358,6 +357,9 @@ def test_scheme_validation():
         FatScheme(3, [(pt, 1)])
     with pytest.raises(TypeError):
         FatScheme(2, [("(1:2:3)", 1)])
+    for ambient in (0, -1):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            FatScheme(ambient, [])
 
 
 def test_scheme_text_round_trip():
@@ -384,6 +386,9 @@ def test_scheme_parse_errors_carry_line_numbers():
         parse_scheme("ambient\npoint (1:2:3) mult 1\n")
     with pytest.raises(ValueError, match="scheme line 2: .*'mult M'"):
         parse_scheme("ambient 2\npoint (1:2:3)\n")
+    for text in ("ambient 0\n", "ambient -1\npoint (1:2:3) mult 1\n"):
+        with pytest.raises(ValueError, match="scheme line 1"):
+            parse_scheme(text)
 
 
 def test_scheme_parse_ignores_comments_and_blanks():
