@@ -1,5 +1,6 @@
 """Arrangements, reflection groups, duality, and derived flats."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from fermatarr.arrange import (
 from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.formulas import equal_up_to_scalar
 from fermatarr.mpoly import ProjPoint, parse_point, parse_poly
+from fermatarr.scheme import format_component
 
 
 def test_fermat_arrangement_counts():
@@ -120,6 +122,21 @@ def test_derived_points_of_plane_arrangements():
         arr = fermat_arrangement(2, n, -1)
         pts = derived_flats(arr, 0, 2)
         assert len(pts) == n * n + 3
+
+
+def test_derived_flats_are_pinned():
+    # flats of every dimension up to P^4 and at codimension up to 4, at
+    # several minimum counts, in their canonical text and order
+    digest = hashlib.sha256()
+    for spec, t, k in (("A(3,3,4)", 0, 2), ("A(3,1,5)", 0, 3),
+                       ("A(4,0,3)", 0, 3), ("A(4,2,2)", 1, 2),
+                       ("A(4,4,2)", 0, 4), ("A(5,0,2)", 0, 2),
+                       ("A(5,0,2)", 1, 3), ("A(5,1,2)", 2, 2)):
+        digest.update(f"{spec} {t} {k}\n".encode())
+        for fl in derived_flats(parse_spec(spec), t, k):
+            digest.update(f"{format_component(fl)}\n".encode())
+    assert digest.hexdigest() == \
+        "9cbf912f7035f64ea29f0a058149670183f19258dd92a3617533616200c9263f"
 
 
 def test_lattice_membership_of_published_point():

@@ -19,6 +19,7 @@ from fermatarr.scheme import (
     conditions_count,
     conditions_count_line,
     conditions_count_line_p3,
+    format_component,
     format_scheme,
     named_configuration,
     parse_scheme,
@@ -28,6 +29,24 @@ from fermatarr.scheme import (
 
 
 # -- named configurations --------------------------------------------------
+
+def test_catalogue_is_pinned():
+    # every id's components (sorted, so the build order is free) and its
+    # published generators
+    ids = (["B3_DUAL", "BMSS_P3", "P5_MULTI", "LINES42"]
+           + [f"FERMAT_DUAL({m},{k})" for m in range(1, 9) for k in range(4)]
+           + [f"MULT4_POINTS({n})" for n in range(3, 8)])
+    digest = hashlib.sha256()
+    for cid in ids:
+        cfg = named_configuration(cid)
+        lines = sorted(f"{format_component(fl)} mult {m}"
+                       for fl, m in cfg.scheme.components)
+        lines += [str(g) for g in cfg.published_generators]
+        digest.update("\n".join([cfg.id, str(cfg.scheme.ambient)] + lines).encode())
+        digest.update(b";")
+    assert digest.hexdigest() == \
+        "1959b4bae7c3aeab4aaa9c9f2ff801447a0ecef8bb659f20afa27c6dc3636396"
+
 
 def test_configuration_point_counts():
     assert len(named_configuration("B3_DUAL").scheme) == 9
