@@ -12,7 +12,7 @@ form, so equality and hashing are structural.
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .cyclo import CyclotomicNumber, as_field, common_order
 from .linalg import kernel_of_rows, kernel_of_rref, row_dot, rref
@@ -309,15 +309,6 @@ class Flat:
         return all(row_dot(row, vec).is_zero()
                    for vec in other.span_basis() for row in self.equations)
 
-    def meet(self, other: "Flat"):
-        """Intersection flat, or None when the intersection is empty."""
-        rows = self.equations + other.equations
-        ncols = self.ambient + 1
-        _, echelon = rref(rows, ncols, lcm(self.order, other.order))
-        if len(echelon) == ncols:
-            return None
-        return Flat(tuple(echelon), ncols - 1, _canonical=True)
-
     def equation_polys(self, names=None):
         nvars = self.ambient + 1
         polys = []
@@ -356,41 +347,45 @@ def lattice_membership(arr: Arrangement, fl: Flat):
     """(member, containing_count): member iff the flat equals the meet of
     all arrangement hyperplanes containing it."""
     containing = containing_hyperplanes(arr, fl)
-    count = len(containing)
     if not containing:
         return False, 0
-    meet = containing[0]
-    for h in containing[1:]:
-        meet = meet.meet(h)
-        if meet is None:
-            return False, count
-    return meet == fl, count
+    meet = Flat.from_equations([h.equations[0] for h in containing])
+    return meet == fl, len(containing)
 
 
 def derived_flats(arr: Arrangement, t: int, min_hyperplanes: int) -> list:
     """All t-dimensional intersection-lattice flats lying on at least
     min_hyperplanes arrangement hyperplanes, canonically sorted.
 
-    Closure by iterated meets with single hyperplanes: one meet drops the
-    dimension by at most 1, so level-by-level descent reaches every flat.
+    The descent goes down one dimension at a time from the hyperplanes.
+    Each flat carries the set of indices of the hyperplanes that contain
+    it, and meets only the hyperplanes outside that set, so every meet
+    drops the dimension by exactly one.  A lattice flat F of dimension
+    below N-1 is reached this way: it is cut out by c = N - dim F
+    hyperplanes with independent forms, and dropping any one of them
+    leaves a lattice flat one dimension above F.
+
+    The carried set of F is the union, over all meets that reach F, of
+    the parent's set and the hyperplane met, and it holds every
+    hyperplane H that contains F.  Some lattice flat one dimension above
+    F contains F but is not inside H: otherwise H would contain their
+    span, which is the whole space.  Meeting that flat with H reaches F.
     """
     N = arr.N
     if not 0 <= t <= N - 1:
         raise ValueError("t must be in 0..N-1")
     if min_hyperplanes < 2:
         raise ValueError("min_hyperplanes must be >= 2")
-    current = set(arr.hyperplanes)
-    level = N - 1
-    while level > t:
-        nxt = set()
-        for fl in current:
-            for hf in arr.hyperplanes:
-                m = fl.meet(hf)
-                if m is not None and m.dim == level - 1:
-                    nxt.add(m)
+    hyps = arr.hyperplanes
+    current = {h: {i} for i, h in enumerate(hyps)}
+    for _ in range(N - 1 - t):
+        nxt = {}
+        for fl, on in current.items():
+            for i, h in enumerate(hyps):
+                if i not in on:
+                    below = Flat.from_equations(fl.equations + h.equations)
+                    nxt.setdefault(below, set()).update(on, (i,))
         current = nxt
-        level -= 1
-    out = [fl for fl in current
-           if len(containing_hyperplanes(arr, fl)) >= min_hyperplanes]
+    out = [fl for fl, on in current.items() if len(on) >= min_hyperplanes]
     out.sort(key=Flat.sort_key)
     return out

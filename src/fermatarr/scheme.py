@@ -49,13 +49,7 @@ class FatScheme:
         for flat, mult in components:
             if not isinstance(flat, Flat):
                 raise TypeError("components must be (Flat, multiplicity) pairs")
-            if flat.ambient != ambient:
-                raise ValueError("component ambient mismatch")
-            if int(mult) < 1:
-                raise ValueError("multiplicities must be >= 1")
-            if flat in seen:
-                raise ValueError("flats must be mutually distinct")
-            seen.add(flat)
+            _check_component(ambient, flat, int(mult), seen)
             comps.append((flat, int(mult)))
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "components", tuple(comps))
@@ -73,6 +67,18 @@ class FatScheme:
 
     def __repr__(self):
         return f"FatScheme(ambient={self.ambient}, {len(self)} components)"
+
+
+def _check_component(ambient: int, flat: Flat, mult: int, seen: set) -> None:
+    """Refuse a component that does not fit a scheme in P^ambient whose
+    flats so far are seen; add its flat to seen."""
+    if flat.ambient != ambient:
+        raise ValueError("component ambient mismatch")
+    if mult < 1:
+        raise ValueError("multiplicities must be >= 1")
+    if flat in seen:
+        raise ValueError("flats must be mutually distinct")
+    seen.add(flat)
 
 
 def format_component(flat: Flat) -> str:
@@ -104,6 +110,7 @@ def parse_scheme(text: str) -> FatScheme:
     """Parse the line-oriented scheme format written by format_scheme."""
     ambient = None
     components = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,9 +120,12 @@ def parse_scheme(text: str) -> FatScheme:
                 words = line.split()
                 if len(words) != 2:
                     raise ValueError("expected 'ambient N'")
-                ambient = int(words[1])
-                if ambient < 1:
+                header = int(words[1])
+                if header < 1:
                     raise ValueError("the ambient dimension must be >= 1")
+                if components and header != ambient:
+                    raise ValueError("component ambient mismatch")
+                ambient = header
                 continue
             if "mult" not in line:
                 raise ValueError("expected a component line ending in 'mult M'")
@@ -126,7 +136,7 @@ def parse_scheme(text: str) -> FatScheme:
                 pt = parse_point(body[len("point"):].strip())
                 if ambient is None:
                     ambient = len(pt.coords) - 1
-                components.append((Flat.from_point(pt), mult))
+                flat = Flat.from_point(pt)
             elif body.startswith("flat"):
                 if ambient is None:
                     raise ValueError("flat line before ambient header")
@@ -139,9 +149,11 @@ def parse_scheme(text: str) -> FatScheme:
                 names = default_names(ambient + 1)
                 rows = [_linear_coefficients(parse_poly(part, names))
                         for part in inner[3:].split(",")]
-                components.append((Flat.from_equations(rows), mult))
+                flat = Flat.from_equations(rows)
             else:
                 raise ValueError(f"unknown component kind {body.split()[0]!r}")
+            _check_component(ambient, flat, mult, seen)
+            components.append((flat, mult))
         except ValueError as exc:
             raise ValueError(f"scheme line {lineno}: {exc}") from None
     if ambient is None:
@@ -388,37 +400,42 @@ class NamedConfig:
         return f"NamedConfig({self.id})"
 
 
-_M3_GENERATORS = (
-    "x0*x1*x2",
-    "x0^3*x2 + x1^3*x2 + x2^4",
-    "x1^4*x2 + x1*x2^4",
-)
+# published generators by canonical id, in the variables x0..xN
+_GENERATORS = {
+    "FERMAT_DUAL(3,2)": (
+        "x0*x1*x2",
+        "x0^3*x2 + x1^3*x2 + x2^4",
+        "x1^4*x2 + x1*x2^4",
+    ),
+    "FERMAT_DUAL(4,1)": (
+        "x0*x1*x2",
+        "x0^4*x2 + x1^4*x2 - x2^5",
+        "x0^4*x1 - x1^5 + x1*x2^4",
+    ),
+    "BMSS_P3": (
+        "x0*(x1^3 - x2^3)", "x0*(x2^3 - x3^3)",
+        "x1*(x0^3 - x2^3)", "x1*(x2^3 - x3^3)",
+        "x2*(x0^3 - x1^3)", "x2*(x1^3 - x3^3)",
+        "x3*(x0^3 - x1^3)", "x3*(x1^3 - x2^3)",
+    ),
+    "LINES42": (
+        "(x0^3 - x1^3)*(x2^3 - x3^3)*x0*x1",
+        "(x0^3 - x1^3)*(x2^3 - x3^3)*x2*x3",
+        "(x0^3 - x2^3)*(x1^3 - x3^3)*x0*x2",
+        "(x0^3 - x2^3)*(x1^3 - x3^3)*x1*x3",
+        "(x0^3 - x3^3)*(x1^3 - x2^3)*x0*x3",
+        "(x0^3 - x3^3)*(x1^3 - x2^3)*x1*x2",
+    ),
+}
 
-_M4_GENERATORS = (
-    "x0*x1*x2",
-    "x0^4*x2 + x1^4*x2 - x2^5",
-    "x0^4*x1 - x1^5 + x1*x2^4",
-)
 
-_BMSS_GENERATORS = (
-    "x0*(x1^3 - x2^3)", "x0*(x2^3 - x3^3)",
-    "x1*(x0^3 - x2^3)", "x1*(x2^3 - x3^3)",
-    "x2*(x0^3 - x1^3)", "x2*(x1^3 - x3^3)",
-    "x3*(x0^3 - x1^3)", "x3*(x1^3 - x2^3)",
-)
-
-_LINES42_GENERATORS = (
-    "(x0^3 - x1^3)*(x2^3 - x3^3)*x0*x1",
-    "(x0^3 - x1^3)*(x2^3 - x3^3)*x2*x3",
-    "(x0^3 - x2^3)*(x1^3 - x3^3)*x0*x2",
-    "(x0^3 - x2^3)*(x1^3 - x3^3)*x1*x3",
-    "(x0^3 - x3^3)*(x1^3 - x2^3)*x0*x3",
-    "(x0^3 - x3^3)*(x1^3 - x2^3)*x1*x2",
-)
+def _points_scheme(points, ambient: int) -> FatScheme:
+    return FatScheme(ambient, [(Flat.from_point(p), 1) for p in points])
 
 
-def _points_scheme(points, ambient: int, mult: int = 1) -> FatScheme:
-    return FatScheme(ambient, [(Flat.from_point(p), mult) for p in points])
+def _derived_scheme(N: int, n: int, t: int, min_hyperplanes: int) -> FatScheme:
+    flats = derived_flats(fermat_arrangement(N, n, -1), t, min_hyperplanes)
+    return FatScheme(N, [(fl, 1) for fl in flats])
 
 
 def _parse_generators(texts, nvars: int):
@@ -426,91 +443,59 @@ def _parse_generators(texts, nvars: int):
     return tuple(parse_poly(t, names) for t in texts)
 
 
-def _build_b3_dual() -> NamedConfig:
-    arr = fermat_arrangement(2, 2, 2)
-    return NamedConfig("B3_DUAL", _points_scheme(dual_points(arr), 2))
+def _unit_points(N: int) -> list:
+    """The N+1 coordinate points of P^N and the 3^N points
+    (1 : e(3)^a1 : ... : e(3)^aN)."""
+    powers = [CyclotomicNumber.root(3) ** a for a in range(3)]
+    points = [ProjPoint(tuple(_ONE if j == i else _ZERO for j in range(N + 1)))
+              for i in range(N + 1)]
+    points += [ProjPoint((_ONE,) + tuple(powers[a] for a in expo))
+               for expo in itertools.product(range(3), repeat=N)]
+    return points
 
 
-def _build_fermat_dual(m: int, k: int) -> NamedConfig:
+def _fermat_dual(m: int, k: int) -> FatScheme:
     if m < 1 or not 0 <= k <= 3:
         raise ValueError("FERMAT_DUAL requires m >= 1 and 0 <= k <= 3")
-    arr = fermat_arrangement(2, m, k - 1)
-    gens = ()
-    if (m, k) == (3, 2):
-        gens = _parse_generators(_M3_GENERATORS, 3)
-    elif (m, k) == (4, 1):
-        gens = _parse_generators(_M4_GENERATORS, 3)
-    return NamedConfig(f"FERMAT_DUAL({m},{k})",
-                       _points_scheme(dual_points(arr), 2), gens)
+    return _points_scheme(dual_points(fermat_arrangement(2, m, k - 1)), 2)
 
 
-def _build_bmss() -> NamedConfig:
-    """The published binomial generators are authoritative: candidate points
-    are the 27 all-unit points and the 4 coordinate points; membership is
-    decided by the generators themselves."""
-    gens = _parse_generators(_BMSS_GENERATORS, 4)
-    eps = CyclotomicNumber.root(3)
-    candidates = []
-    one = _ONE
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                candidates.append(ProjPoint((one, eps ** a, eps ** b, eps ** c)))
-    for i in range(4):
-        coords = [_ZERO] * 4
-        coords[i] = one
-        candidates.append(ProjPoint(tuple(coords)))
-    points = [p for p in candidates
-              if all(g.evaluate(p.coords).is_zero() for g in gens)]
-    return NamedConfig("BMSS_P3", _points_scheme(points, 3), gens)
+def _bmss() -> FatScheme:
+    """The published binomial generators are authoritative: of the unit
+    points of P^3, the scheme keeps those on which they all vanish."""
+    gens = _parse_generators(_GENERATORS["BMSS_P3"], 4)
+    return _points_scheme([p for p in _unit_points(3)
+                           if all(g.evaluate(p.coords).is_zero() for g in gens)], 3)
 
 
-def _build_p5_multi() -> NamedConfig:
-    eps = CyclotomicNumber.root(3)
-    points = []
-    for i in range(6):
-        coords = [_ZERO] * 6
-        coords[i] = _ONE
-        points.append(ProjPoint(tuple(coords)))
-    for expo in itertools.product(range(3), repeat=5):
-        points.append(ProjPoint((_ONE,) + tuple(eps ** e for e in expo)))
-    return NamedConfig("P5_MULTI", _points_scheme(points, 5))
-
-
-def _build_lines42() -> NamedConfig:
-    arr = fermat_arrangement(3, 3, -1)
-    lines = derived_flats(arr, 1, 3)
-    scheme = FatScheme(3, [(fl, 1) for fl in lines])
-    return NamedConfig("LINES42", scheme,
-                       _parse_generators(_LINES42_GENERATORS, 4))
-
-
-def _build_mult4_points(n: int) -> NamedConfig:
+def _mult4_points(n: int) -> FatScheme:
     if n < 3:
         raise ValueError("MULT4_POINTS requires n >= 3")
-    arr = fermat_arrangement(2, n, -1)
-    points = derived_flats(arr, 0, 2)
-    scheme = FatScheme(2, [(fl, 1) for fl in points])
-    return NamedConfig(f"MULT4_POINTS({n})", scheme)
+    return _derived_scheme(2, n, 0, 2)
+
+
+# head -> (number of parameters, builder of the scheme from them)
+_CATALOGUE = {
+    "B3_DUAL": (0, lambda: _fermat_dual(2, 3)),
+    "FERMAT_DUAL": (2, _fermat_dual),
+    "BMSS_P3": (0, _bmss),
+    "P5_MULTI": (0, lambda: _points_scheme(_unit_points(5), 5)),
+    "LINES42": (0, lambda: _derived_scheme(3, 3, 1, 3)),
+    "MULT4_POINTS": (1, _mult4_points),
+}
 
 
 def named_configuration(spec: str) -> NamedConfig:
     """Look up a configuration by id: B3_DUAL, FERMAT_DUAL(m,k), BMSS_P3,
     P5_MULTI, LINES42, or MULT4_POINTS(n)."""
     head, params = parse_id(spec, "configuration")
-    if head == "B3_DUAL" and not params:
-        return _build_b3_dual()
-    if head == "FERMAT_DUAL" and len(params) == 2:
-        return _build_fermat_dual(*params)
-    if head == "BMSS_P3" and not params:
-        return _build_bmss()
-    if head == "P5_MULTI" and not params:
-        return _build_p5_multi()
-    if head == "LINES42" and not params:
-        return _build_lines42()
-    if head == "MULT4_POINTS" and len(params) == 1:
-        return _build_mult4_points(params[0])
-    raise ValueError(f"unknown configuration id {spec!r}")
+    arity, build = _CATALOGUE.get(head, (None, None))
+    if arity != len(params):
+        raise ValueError(f"unknown configuration id {spec!r}")
+    cid = f"{head}({','.join(map(str, params))})" if params else head
+    scheme = build(*params)
+    gens = _parse_generators(_GENERATORS.get(cid, ()), scheme.ambient + 1)
+    return NamedConfig(cid, scheme, gens)
 
 
 def verify_published_generators(cfg: NamedConfig) -> bool:

@@ -160,13 +160,14 @@ def test_lattice_membership_rejects_generic_point():
 def test_flat_meet_and_containment():
     h1 = Flat.from_equations([(1, 0, 0, 0)])
     h2 = Flat.from_equations([(0, 1, 0, 0)])
-    meet = h1.meet(h2)
-    assert meet is not None and meet.dim == 1
+    meet = Flat.from_equations(h1.equations + h2.equations)
+    assert meet.dim == 1
     assert h1.contains_flat(meet)
     assert meet.contains_point(parse_point("(0:0:1:5)"))
     # meeting with a disjoint flat of complementary dimension is empty
     other = Flat.from_span([(1, 0, 0, 0), (0, 1, 0, 0)])
-    assert meet.meet(other) is None
+    with pytest.raises(ValueError, match="no projective solutions"):
+        Flat.from_equations(meet.equations + other.equations)
 
 
 def test_flat_span_equation_round_trip():

@@ -123,7 +123,12 @@ def test_unparsable_scheme_file_exits_1(tmp_path, capsys):
     for text, lineno in (("ambient 2\npoint (0:0:0) mult 1\n", 2),
                          ("ambient 2\npoint (1 : e(0) : 1) mult 1\n", 2),
                          ("ambient\npoint (1:2:3) mult 1\n", 1),
-                         ("ambient -1\n", 1), ("ambient 0\n", 1)):
+                         ("ambient -1\n", 1), ("ambient 0\n", 1),
+                         ("ambient 2\npoint (1:2:3:4) mult 1\n", 2),
+                         ("ambient 2\npoint (1:2:3) mult 1\n"
+                          "point (2:4:6) mult 1\n", 3),
+                         ("ambient 2\npoint (1:2:3) mult 0\n", 2),
+                         ("point (1:2:3) mult 1\nambient 3\n", 2)):
         bad.write_text(text)
         code, _, err = run(capsys, "dimension", "--scheme", str(bad),
                            "--degree", "2")

@@ -408,6 +408,17 @@ def test_scheme_parse_errors_carry_line_numbers():
     for text in ("ambient 0\n", "ambient -1\npoint (1:2:3) mult 1\n"):
         with pytest.raises(ValueError, match="scheme line 1"):
             parse_scheme(text)
+    for text, message in (
+            ("ambient 2\npoint (1:2:3:4) mult 1\n",
+             "scheme line 2: component ambient mismatch"),
+            ("ambient 2\npoint (1:2:3) mult 1\npoint (2:4:6) mult 1\n",
+             "scheme line 3: flats must be mutually distinct"),
+            ("ambient 2\npoint (1:2:3) mult 0\n",
+             "scheme line 2: multiplicities must be >= 1"),
+            ("point (1:2:3) mult 1\nambient 3\n",
+             "scheme line 2: component ambient mismatch")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_scheme(text)
 
 
 def test_scheme_parse_ignores_comments_and_blanks():
