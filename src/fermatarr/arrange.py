@@ -358,18 +358,14 @@ def derived_flats(arr: Arrangement, t: int, min_hyperplanes: int) -> list:
     min_hyperplanes arrangement hyperplanes, canonically sorted.
 
     The descent goes down one dimension at a time from the hyperplanes.
-    Each flat carries the set of indices of the hyperplanes that contain
-    it, and meets only the hyperplanes outside that set, so every meet
-    drops the dimension by exactly one.  A lattice flat F of dimension
-    below N-1 is reached this way: it is cut out by c = N - dim F
-    hyperplanes with independent forms, and dropping any one of them
-    leaves a lattice flat one dimension above F.
-
-    The carried set of F is the union, over all meets that reach F, of
-    the parent's set and the hyperplane met, and it holds every
-    hyperplane H that contains F.  Some lattice flat one dimension above
-    F contains F but is not inside H: otherwise H would contain their
-    span, which is the whole space.  Meeting that flat with H reaches F.
+    Each flat carries the indices of the hyperplanes that contain it and
+    meets only the others, so every meet drops the dimension by one.  It
+    reaches each lattice flat F: leaving out one of the independent forms
+    that cut out F leaves a lattice flat one dimension above F.  The set
+    F carries, the union over the meets reaching F of the parent's set and
+    the hyperplane met, holds every H containing F: some lattice flat one
+    dimension above F contains F but is not inside H, since otherwise H
+    would contain their span, the whole space; meeting the two gives F.
     """
     N = arr.N
     if not 0 <= t <= N - 1:
@@ -386,6 +382,5 @@ def derived_flats(arr: Arrangement, t: int, min_hyperplanes: int) -> list:
                     below = Flat.from_equations(fl.equations + h.equations)
                     nxt.setdefault(below, set()).update(on, (i,))
         current = nxt
-    out = [fl for fl, on in current.items() if len(on) >= min_hyperplanes]
-    out.sort(key=Flat.sort_key)
-    return out
+    out = (fl for fl, on in current.items() if len(on) >= min_hyperplanes)
+    return sorted(out, key=Flat.sort_key)

@@ -44,16 +44,14 @@ class FatScheme:
     def __init__(self, ambient: int, components):
         if ambient < 1:
             raise ValueError("the ambient dimension must be >= 1")
-        comps = []
-        seen = set()
+        comps = {}
         for flat, mult in components:
             if not isinstance(flat, Flat):
                 raise TypeError("components must be (Flat, multiplicity) pairs")
-            _check_component(ambient, flat, int(mult), seen)
-            comps.append((flat, int(mult)))
+            _add_component(comps, ambient, flat, int(mult))
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "root_order", lcm(*(fl.order for fl, _ in comps)))
+        object.__setattr__(self, "components", tuple(comps.items()))
+        object.__setattr__(self, "root_order", lcm(*(fl.order for fl in comps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FatScheme is immutable")
@@ -69,16 +67,16 @@ class FatScheme:
         return f"FatScheme(ambient={self.ambient}, {len(self)} components)"
 
 
-def _check_component(ambient: int, flat: Flat, mult: int, seen: set) -> None:
-    """Refuse a component that does not fit a scheme in P^ambient whose
-    flats so far are seen; add its flat to seen."""
+def _add_component(comps: dict, ambient: int, flat: Flat, mult: int) -> None:
+    """Add a component to comps, the flat -> multiplicity map of a scheme
+    in P^ambient, refusing one that does not fit."""
     if flat.ambient != ambient:
         raise ValueError("component ambient mismatch")
     if mult < 1:
         raise ValueError("multiplicities must be >= 1")
-    if flat in seen:
+    if flat in comps:
         raise ValueError("flats must be mutually distinct")
-    seen.add(flat)
+    comps[flat] = mult
 
 
 def format_component(flat: Flat) -> str:
@@ -109,8 +107,7 @@ def _linear_coefficients(poly: MultiPoly):
 def parse_scheme(text: str) -> FatScheme:
     """Parse the line-oriented scheme format written by format_scheme."""
     ambient = None
-    components = []
-    seen = set()
+    components = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -120,12 +117,11 @@ def parse_scheme(text: str) -> FatScheme:
                 words = line.split()
                 if len(words) != 2:
                     raise ValueError("expected 'ambient N'")
-                header = int(words[1])
-                if header < 1:
+                ambient = int(words[1])
+                if ambient < 1:
                     raise ValueError("the ambient dimension must be >= 1")
-                if components and header != ambient:
+                if any(fl.ambient != ambient for fl in components):
                     raise ValueError("component ambient mismatch")
-                ambient = header
                 continue
             if "mult" not in line:
                 raise ValueError("expected a component line ending in 'mult M'")
@@ -152,13 +148,12 @@ def parse_scheme(text: str) -> FatScheme:
                 flat = Flat.from_equations(rows)
             else:
                 raise ValueError(f"unknown component kind {body.split()[0]!r}")
-            _check_component(ambient, flat, mult, seen)
-            components.append((flat, mult))
+            _add_component(components, ambient, flat, mult)
         except ValueError as exc:
             raise ValueError(f"scheme line {lineno}: {exc}") from None
     if ambient is None:
         raise ValueError("empty scheme text")
-    return FatScheme(ambient, components)
+    return FatScheme(ambient, components.items())
 
 
 # ---------------------------------------------------------------------------
