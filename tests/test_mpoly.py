@@ -3,6 +3,7 @@ parsing round-trips, and substitution semantics."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,81 @@ def test_parse_poly_round_trip():
         p = parse_poly(s, names)
         q = parse_poly(str(p), names)
         assert p == q
+
+
+def test_parse_poly_language_is_pinned():
+    # each accepted text with the str of what it reads to, in x0..xN
+    X, AE = ("x0", "x1", "x2"), ("a", "e")
+    accepted = (
+        ('x0', X, 'x0'),
+        ('-x0', X, '-x0'),
+        ('+x0', X, 'x0'),
+        ('x0 + x1', X, 'x0 + x1'),
+        ('x0 - x1', X, 'x0 - x1'),
+        ('x0 + x1 - x2', X, 'x0 + x1 - x2'),
+        ('-x0 + x1', X, '-x0 + x1'),
+        ('x0*x1', X, 'x0*x1'),
+        ('x0*x1*x2', X, 'x0*x1*x2'),
+        ('2*x0', X, '2*x0'),
+        ('x0*2', X, '2*x0'),
+        ('x0/2', X, '(1/2)*x0'),
+        ('x0/2/3', X, '(1/6)*x0'),
+        ('3/4', X, '3/4'),
+        ('x0^2', X, 'x0^2'),
+        ('x0^0', X, '1'),
+        ('x0^1', X, 'x0'),
+        ('(x0 + x1)^2', X, 'x0^2 + 2*x0*x1 + x1^2'),
+        ('(x0 - x1)^3', X, 'x0^3 - 3*x0^2*x1 + 3*x0*x1^2 - x1^3'),
+        ('2^-1', X, '1/2'),
+        ('2^-1*x0', X, '(1/2)*x0'),
+        ('(2/3)^-2', X, '9/4'),
+        ('2^3', X, '8'),
+        ('(x0 + 1)*(x0 - 1)', X, 'x0^2 - 1'),
+        ('((x0))', X, 'x0'),
+        ('-(x0 - x1)', X, '-x0 + x1'),
+        ('(-x1)^2', X, 'x1^2'),
+        ('x0*(-x1)^2', X, 'x0*x1^2'),
+        ('-x0^2', X, '-x0^2'),
+        ('-2^2*x1', X, '-4*x1'),
+        ('x0/(1 + 1)', X, '(1/2)*x0'),
+        ('e(3)', X, 'e(3)'),
+        ('e(3)^2', X, '(-1 - e(3))'),
+        ('e(3)^3', X, '1'),
+        ('e(4)^-1', X, '-e(4)'),
+        ('e(3)*x0 + e(4)*x1', X, 'e(3)*x0 + e(4)*x1'),
+        ('x0/e(3)', X, '(-1 - e(3))*x0'),
+        ('e(1)', X, '1'),
+        ('e(6)^2 - e(3)', X, '0'),
+        ('x0 - x0', X, '0'),
+        ('0', X, '0'),
+        ('0^0', X, '1'),
+        ('01*x0 + 007', X, 'x0 + 7'),
+        ('  x0  *\tx1 ^ 2  +\n3 ', X, 'x0*x1^2 + 3'),
+        ('e (5) ^ 7 * x2', X, 'e(5)^2*x2'),
+        ('1/2 - 2/3*e(4)', X, '(1/2 - 2/3*e(4))'),
+        ('(x0 + e(3)*x1)*(x0 + e(3)^2*x1)', X, 'x0^2 - x0*x1 + x1^2'),
+        ('a*e + e(3)*e', AE, 'x0*x1 + e(3)*x1'),
+        ('e^2 - a', AE, 'x1^2 - x0'),
+        ('(a - e)*(a + e)', AE, 'x0^2 - x1^2'),
+        ('x2', ('x2', 'x1', 'x0'), 'x0'),
+    )
+    for text, names, want in accepted:
+        p = parse_poly(text, names)
+        assert str(MultiPoly(p.nvars, p.terms)) == want, text
+    rejected = ("x0 +* x1", "y0", "x0**2", "x0^x1", "x0^(1/2)", "x0/x1", "x0/0",
+                "0^-1", "e(x0)", "e()", "e(3)(2)", "1.5", "2x0", "x0 x1", "0x10",
+                "1_0", "(x0", "x0)", "", "x0^(2)", "x0^-(2)", "e((3))", "x0^2^3",
+                "x0^-1", "x0^+2", "e(-3)", "e(0)", "x0(2)", "x0 // 2", "x0^^2",
+                "e", "()")
+    for text in rejected:
+        with pytest.raises(ValueError):
+            parse_poly(text, X)
+    for text, message in (("y0", "unknown variable 'y0'"),
+                          ("x0,x1", "unexpected character ',' in polynomial text"),
+                          ("x0/x1", "division only by nonzero constants"),
+                          ("0^-1", "negative powers only on nonzero constants")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_poly(text, X)
 
 
 def test_parse_poly_rejects_garbage():
