@@ -60,10 +60,10 @@ class Arrangement:
     def __len__(self):
         return len(self.hyperplanes)
 
-    def defining_polynomial(self, names=None) -> MultiPoly:
-        poly = MultiPoly.constant(1, self.N + 1, names=names)
+    def defining_polynomial(self) -> MultiPoly:
+        poly = MultiPoly.constant(1, self.N + 1)
         for h in self.hyperplanes:
-            poly = poly * h.equation_polys(names)[0]
+            poly = poly * h.equation_polys()[0]
         return poly
 
     def __repr__(self):
@@ -131,24 +131,18 @@ def parse_spec(text: str) -> Arrangement:
 
 
 class GroupElement:
-    """An invertible matrix over Q(e(n)), tagged when known to be monomial."""
+    """An invertible matrix over Q(e(n))."""
 
-    __slots__ = ("matrix", "monomial")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, monomial: bool = False):
+    def __init__(self, matrix):
         matrix = [tuple(row) for row in matrix]
         order = common_order(v for row in matrix for v in row)
         rows = tuple(tuple(as_field(v, order) for v in row) for row in matrix)
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise ValueError("matrix must be square")
-        if monomial:
-            for lines in (rows, tuple(zip(*rows))):
-                for line in lines:
-                    if sum(1 for v in line if not v.is_zero()) != 1:
-                        raise ValueError("monomial flag requires one nonzero entry per row and column")
         object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "monomial", monomial)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
@@ -160,7 +154,7 @@ class GroupElement:
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         cols = tuple(zip(*other.matrix))
         rows = [[row_dot(row, col) for col in cols] for row in self.matrix]
-        return GroupElement(rows, monomial=self.monomial and other.monomial)
+        return GroupElement(rows)
 
     def apply(self, vector):
         vec = tuple(vector)
@@ -201,7 +195,7 @@ def monomial_group(n: int, p: int, N1: int):
             rows = [[_ZERO] * N1 for _ in range(N1)]
             for i in range(N1):
                 rows[i][sigma[i]] = eps_pows[expo[i]]
-            elements.append(GroupElement(rows, monomial=True))
+            elements.append(GroupElement(rows))
     assert len(elements) == order
     return elements
 
@@ -309,14 +303,14 @@ class Flat:
         return all(row_dot(row, vec).is_zero()
                    for vec in other.span_basis() for row in self.equations)
 
-    def equation_polys(self, names=None):
+    def equation_polys(self):
         nvars = self.ambient + 1
         polys = []
         for row in self.equations:
-            poly = MultiPoly.zero(nvars, names=names)
+            poly = MultiPoly.zero(nvars)
             for i, c in enumerate(row):
                 if not c.is_zero():
-                    poly = poly + MultiPoly.variable(i, nvars, names=names) * c
+                    poly = poly + MultiPoly.variable(i, nvars) * c
             polys.append(poly)
         return polys
 

@@ -12,12 +12,12 @@ take it from here.
 
 A value hashes as (order, coeffs) at its minimal order, the least m with
 the value in Q(e_m), so equal values of different orders hash equal; a
-rational value hashes like its Fraction.
+rational value hashes like its Fraction.  str is a value's one text form,
+with e(n) root literals; mpoly.parse_poly reads it back.
 """
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -345,10 +345,6 @@ class CyclotomicNumber:
         return hash((order, num)) if any(num[1:]) else hash(num[0])
 
     # -- text -----------------------------------------------------------
-    def serialize(self) -> str:
-        body = ", ".join(_frac_str(c) for c in self.coeffs)
-        return f"cyclo({self.order})[{body}]"
-
     def __str__(self) -> str:
         if self.is_rational():
             return _frac_str(self.as_rational())
@@ -363,7 +359,7 @@ class CyclotomicNumber:
         return out
 
     def __repr__(self) -> str:
-        return f"CyclotomicNumber({self.serialize()})"
+        return f"CyclotomicNumber({self.order}, {self})"
 
 
 _make = CyclotomicNumber._make
@@ -392,17 +388,3 @@ def as_field(value, order: int) -> CyclotomicNumber:
 
 def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-_CYCLO_RE = re.compile(r"^\s*cyclo\((\d+)\)\[(.*)\]\s*$")
-
-
-def parse_cyclo(text: str) -> CyclotomicNumber:
-    """Inverse of CyclotomicNumber.serialize."""
-    m = _CYCLO_RE.match(text)
-    if not m:
-        raise ValueError(f"not a cyclo(n)[...] literal: {text!r}")
-    order = int(m.group(1))
-    body = m.group(2).strip()
-    coeffs = [Fraction(p.strip()) for p in body.split(",")] if body else []
-    return CyclotomicNumber(order, coeffs)

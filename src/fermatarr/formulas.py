@@ -62,21 +62,20 @@ class BuiltFormula:
         flat = self.poly.partial_evaluate(dict(enumerate(coords)))
         np_ = self.npoint
         terms = {e[np_:]: c for e, c in flat.terms.items()}
-        return MultiPoly(self.ncoord, terms, self.coord_names)
+        return MultiPoly(self.ncoord, terms)
 
     def __repr__(self):  # pragma: no cover
         return (f"BuiltFormula({self.family}, deg={self.degree}, "
                 f"mult={self.multiplicity}, {len(self.poly.terms)} terms)")
 
 
-def _ring(point_names, coord_names):
-    names = tuple(point_names) + tuple(coord_names)
-    n = len(names)
-    return [MultiPoly.variable(i, n, names=names) for i in range(n)]
+def _ring(n: int):
+    """The n variables of a combined ring, point variables first."""
+    return [MultiPoly.variable(i, n) for i in range(n)]
 
 
 def b3_quartic() -> BuiltFormula:
-    a, b, c, x, y, z = _ring("abc", "xyz")
+    a, b, c, x, y, z = _ring(6)
     q = (3 * a * (b**2 - c**2) * x**2 * y * z
          + 3 * b * (c**2 - a**2) * x * y**2 * z
          + 3 * c * (a**2 - b**2) * x * y * z**2
@@ -90,7 +89,7 @@ def b3_quartic() -> BuiltFormula:
 def quintic_curve() -> BuiltFormula:
     """Degree-5 curve with a 4-fold general point for the 11-point dual of
     the order-3 arrangement with two coordinate lines."""
-    a, b, c, x0, x1, x2 = _ring("abc", ("x0", "x1", "x2"))
+    a, b, c, x0, x1, x2 = _ring(6)
     q = (a**4 * x1 * x2 * (x1**3 + x2**3)
          + b**4 * x0 * x2 * (x0**3 + x2**3)
          + c**4 * x0 * x1 * (x0**3 + x1**3)
@@ -107,7 +106,7 @@ def quintic_curve() -> BuiltFormula:
 def sextic_curve() -> BuiltFormula:
     """Degree-6 curve with a 5-fold general point for the 13-point dual of
     the order-4 arrangement with one coordinate line."""
-    a, b, c, x0, x1, x2 = _ring("abc", ("x0", "x1", "x2"))
+    a, b, c, x0, x1, x2 = _ring(6)
     q = (a**5 * x1 * x2 * (x1**4 - x2**4)
          + b**5 * x0 * x2 * (x2**4 - x0**4)
          + c**5 * x0 * x1 * (x0**4 - x1**4)
@@ -130,12 +129,12 @@ def fermat_family_curve(m: int) -> BuiltFormula:
     """
     if m < 2:
         raise ValueError("family needs m >= 2")
-    a, b, c, x0, x1, x2 = _ring("abc", ("x0", "x1", "x2"))
+    a, b, c, x0, x1, x2 = _ring(6)
     if m % 2 == 0:
         # Each orbit line carries its own point coordinate (a, b, c in
         # turn); a common a-factor would break the cyclic symmetry that
         # the three fixed-order builders exhibit.
-        q = MultiPoly.zero(6, tuple("abc") + ("x0", "x1", "x2"))
+        q = MultiPoly.zero(6)
         for k in range(1, m // 2 + 2):
             co = math.comb(m + 1, 2 * k - 1)
             s = m - (2 * k - 2)
@@ -177,7 +176,7 @@ def fermat_family_curve(m: int) -> BuiltFormula:
 def bmss_surface() -> BuiltFormula:
     """Degree-4 surface with a triple general point on the 31-point
     configuration in projective 3-space."""
-    a, b, c, d, x0, x1, x2, x3 = _ring("abcd", ("x0", "x1", "x2", "x3"))
+    a, b, c, d, x0, x1, x2, x3 = _ring(8)
     q = (b**2 * (c**3 - d**3) * x0**3 * x1
          + a**2 * (d**3 - c**3) * x0 * x1**3
          + c**2 * (d**3 - b**3) * x0**3 * x2
@@ -206,7 +205,7 @@ def mult4_curve(n: int) -> BuiltFormula:
     if n < 3:
         raise ValueError("family needs n >= 3")
     u, v, w = mult4_weights(n)
-    a, b, c, x, y, z = _ring("abc", "xyz")
+    a, b, c, x, y, z = _ring(6)
     q = (-(c * x * y) * ((u * b**n + v * c**n) * (z**n - x**n)
                          + (u * a**n + v * c**n) * (y**n - z**n))
          - (b * x * z) * ((u * a**n + v * b**n) * (y**n - z**n)
@@ -276,7 +275,7 @@ def symbolic_multiplicity_at_general(form: BuiltFormula) -> tuple[int, bool]:
     n = np_ + form.ncoord
     # a_i -> a_i and x_i -> a_i + y_i; the point has one coordinate per x_i
     shift = [[int(j in (i, i - np_)) for j in range(n)] for i in range(n)]
-    shifted = form.poly.substitute_linear(shift, form.poly.names)
+    shifted = form.poly.substitute_linear(shift)
     return (min(sum(e[np_:]) for e in shifted.terms), True)
 
 
@@ -301,7 +300,7 @@ def mult4_cofactor_reconciliation() -> str | None:
     inserted in turn; returns the name that makes the identity exact, or
     None when no single insertion does.
     """
-    a, b, c, x, y, z = _ring("abc", "xyz")
+    a, b, c, x, y, z = _ring(6)
     f1 = c * x - a * z
     f2 = c * y - b * z
     g1, g2, g4, g5 = f2**4, f1 * f2**3, f1**3 * f2, f1**4

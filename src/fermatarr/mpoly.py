@@ -3,13 +3,18 @@
 Terms are a dict from exponent tuple to nonzero coefficient; the zero
 polynomial is the empty dict.  A polynomial's field is the field of its
 coefficients: each CyclotomicNumber keeps the order it carries, and its
-own mixed-order arithmetic, == and hash do every lift.  Printing and
-parsing share one grammar: sums of products of rational literals, e(n)
-root literals, variable names and parenthesised subexpressions, with ^
-for nonnegative integer powers.
+own mixed-order arithmetic, == and hash do every lift.
+
+Values have one text form.  str writes a polynomial in x0..xN as sums of
+products of rational literals, e(n) root literals and variables, with ^
+for powers (a scalar's str is the same language); parse_poly reads it
+back under the variable names it is given, with Python's own parser and
+a walk that accepts only those nodes.  A polynomial carries no names.
 """
 from __future__ import annotations
 
+import ast
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,12 +45,9 @@ def graded_monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 class MultiPoly:
     """A polynomial in nvars variables with CyclotomicNumber coefficients."""
 
-    __slots__ = ("nvars", "terms", "names")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms=None, names=None) -> None:
-        names = tuple(names) if names is not None else default_names(nvars)
-        if len(names) != nvars:
-            raise ValueError("names length must equal nvars")
+    def __init__(self, nvars: int, terms=None) -> None:
         clean: dict[tuple[int, ...], Coeff] = {}
         if terms:
             for exps, c in terms.items():
@@ -58,7 +60,6 @@ class MultiPoly:
                     clean[exps] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "names", names)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
@@ -69,28 +70,27 @@ class MultiPoly:
         out = object.__new__(MultiPoly)
         object.__setattr__(out, "nvars", self.nvars)
         object.__setattr__(out, "terms", {e: c for e, c in terms.items() if c})
-        object.__setattr__(out, "names", self.names)
         return out
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, nvars: int, names=None) -> "MultiPoly":
-        return cls(nvars, {}, names)
+    def zero(cls, nvars: int) -> "MultiPoly":
+        return cls(nvars, {})
 
     @classmethod
-    def constant(cls, value, nvars: int, names=None) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value}, names)
+    def constant(cls, value, nvars: int) -> "MultiPoly":
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, i: int, nvars: int, names=None) -> "MultiPoly":
+    def variable(cls, i: int, nvars: int) -> "MultiPoly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1}, names)
+        return cls(nvars, {exps: 1})
 
     # -- coercion ---------------------------------------------------------
     def _coerce(self, other):
         """other as a MultiPoly in self's variables, or None."""
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return MultiPoly.constant(other, self.nvars, self.names)
+            return MultiPoly.constant(other, self.nvars)
         if not isinstance(other, MultiPoly):
             return None
         if other.nvars != self.nvars:
@@ -159,7 +159,7 @@ class MultiPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = MultiPoly.constant(1, self.nvars, self.names)
+        out = MultiPoly.constant(1, self.nvars)
         base = self
         while k:
             if k & 1:
@@ -222,7 +222,7 @@ class MultiPoly:
                 terms[key] = terms[key] + c if key in terms else c
         return self._make(terms)
 
-    def substitute_linear(self, matrix, new_names=None) -> "MultiPoly":
+    def substitute_linear(self, matrix) -> "MultiPoly":
         """Ring substitution x_i -> sum_j matrix[i][j] * y_j.
 
         matrix has nvars rows; the number of columns sets the new variable
@@ -234,13 +234,12 @@ class MultiPoly:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged substitution matrix")
-        names = tuple(new_names) if new_names is not None else default_names(m)
         units = graded_monomials(m, 1)  # the exponent tuple of y_j is units[j]
-        lin = [MultiPoly(m, dict(zip(units, r)), names) for r in rows]
+        lin = [MultiPoly(m, dict(zip(units, r))) for r in rows]
         power = lru_cache(maxsize=None)(lambda i, k: lin[i] ** k)
-        out = MultiPoly.zero(m, names)
+        out = MultiPoly.zero(m)
         for e, c in self.terms.items():
-            piece = MultiPoly.constant(c, m, names)
+            piece = MultiPoly.constant(c, m)
             for i, k in enumerate(e):
                 if k:
                     piece = piece * power(i, k)
@@ -267,7 +266,7 @@ class MultiPoly:
         parts = []
         for e, c in self.sorted_terms():
             mono = "*".join(
-                f"{self.names[i]}^{k}" if k > 1 else self.names[i]
+                f"x{i}^{k}" if k > 1 else f"x{i}"
                 for i, k in enumerate(e) if k)
             parts.append(_format_term(c, mono))
         out = parts[0]
@@ -342,133 +341,86 @@ class ProjPoint:
 
 # -- parser --------------------------------------------------------------
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j]))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in polynomial text")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def take(self, kind=None):
-        tok = self.peek()
-        if kind is not None and tok[0] != kind:
-            raise ValueError(f"expected {kind}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)")
 
 
 def parse_poly(text: str, names) -> MultiPoly:
-    """Parse the printing grammar back into a MultiPoly."""
+    """Read polynomial text in the variables `names` into a MultiPoly.
+
+    One regex pass keeps the lexicon of decimal ints, names and + - * / ^
+    ( ): it turns variable i into the placeholder _i, so Python never sees
+    a user's name, and ^ into **.  Python's parser reads the rest, and a
+    walk accepts only sums, differences and products, unary - and +,
+    division by nonzero constants, powers with an int exponent (negative
+    only on nonzero constants), ints, the placeholders and e(n) root
+    literals.  Nothing is evaluated by Python.
+    """
     names = tuple(names)
     index = {nm: i for i, nm in enumerate(names)}
     nvars = len(names)
-    toks = _Tokens(text)
+    toks: list[str] = []
+    for m in _TOKEN.finditer(text):
+        digits, name, op, bad = m.groups()
+        if bad:
+            raise ValueError(f"unexpected character {bad!r} in polynomial text")
+        if name == "e" and text[m.end():].lstrip().startswith("("):
+            toks.append(name)
+        elif name:
+            if name not in index:
+                raise ValueError(f"unknown variable {name!r}")
+            toks.append(f"_{index[name]}")
+        elif digits:
+            toks.append(str(int(digits)))
+        elif op == "(" and (toks[-1:] == ["**"]
+                            or toks[-2:] in (["**", "-"], ["e", "("])):
+            # exponents and root orders are bare ints, never parenthesised
+            raise ValueError(f"cannot read polynomial {text!r}")
+        else:
+            toks.append("**" if op == "^" else op)
 
-    def parse_sum():
-        sign = 1
-        kind, _ = toks.peek()
-        if kind in ("+", "-"):
-            toks.take()
-            sign = -1 if kind == "-" else 1
-        acc = parse_product()
-        if sign < 0:
-            acc = -acc
-        while True:
-            kind, _ = toks.peek()
-            if kind == "+":
-                toks.take()
-                acc = acc + parse_product()
-            elif kind == "-":
-                toks.take()
-                acc = acc - parse_product()
-            else:
-                return acc
+    def constant_inverse(p: MultiPoly, message: str) -> CyclotomicNumber:
+        if p.degree() != 0:
+            raise ValueError(message)
+        return p.terms[(0,) * nvars].inverse()
 
-    def parse_product():
-        acc = parse_power()
-        while True:
-            kind, _ = toks.peek()
-            if kind == "*":
-                toks.take()
-                acc = acc * parse_power()
-            elif kind == "/":
-                toks.take()
-                den = parse_power()
-                if den.degree() not in (0, None) or not den.terms:
-                    raise ValueError("division only by nonzero constants")
-                (c,) = den.terms.values()
-                acc = acc * c.inverse()
-            else:
-                return acc
+    def read(node) -> MultiPoly:
+        # every name is a placeholder or e by now, so no literal is a bool
+        match node:
+            case ast.Constant(value=int(v)):
+                return MultiPoly.constant(v, nvars)
+            case ast.Name(id=placeholder) if placeholder != "e":
+                return MultiPoly.variable(int(placeholder[1:]), nvars)
+            case ast.Call(func=ast.Name(id="e"), args=[ast.Constant(value=int(n))],
+                          keywords=[]):
+                return MultiPoly.constant(CyclotomicNumber.root(n), nvars)
+            case ast.UnaryOp(op=ast.USub(), operand=a):
+                return -read(a)
+            case ast.UnaryOp(op=ast.UAdd(), operand=a):
+                return read(a)
+            case ast.BinOp(op=ast.Add() | ast.Sub()):
+                # a long sum is a deep left chain: walk it in a loop
+                out = MultiPoly.zero(nvars)
+                while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+                    term = read(node.right)
+                    out = out + term if isinstance(node.op, ast.Add) else out - term
+                    node = node.left
+                return out + read(node)
+            case ast.BinOp(left=a, op=ast.Mult(), right=b):
+                return read(a) * read(b)
+            case ast.BinOp(left=a, op=ast.Div(), right=b):
+                return read(a) * constant_inverse(read(b), "division only by nonzero constants")
+            case ast.BinOp(left=a, op=ast.Pow(), right=ast.Constant(value=int(k))):
+                return read(a) ** k
+            case ast.BinOp(left=a, op=ast.Pow(),
+                           right=ast.UnaryOp(op=ast.USub(), operand=ast.Constant(value=int(k)))):
+                inv = constant_inverse(read(a), "negative powers only on nonzero constants")
+                return MultiPoly.constant(inv ** k, nvars)
+        raise ValueError(f"cannot read polynomial {text!r}")
 
-    def parse_power():
-        base = parse_atom()
-        kind, _ = toks.peek()
-        if kind == "^":
-            toks.take()
-            sign = 1
-            if toks.peek()[0] == "-":
-                toks.take()
-                sign = -1
-            _, digits = toks.take("int")
-            k = int(digits)
-            if sign < 0:
-                if base.degree() not in (0, None) or not base.terms:
-                    raise ValueError("negative powers only on nonzero constants")
-                (c,) = base.terms.values()
-                return MultiPoly.constant(c.inverse(), nvars, names) ** k
-            return base ** k
-        return base
-
-    def parse_atom():
-        kind, val = toks.take()
-        if kind == "(":
-            inner = parse_sum()
-            toks.take(")")
-            return inner
-        if kind == "int":
-            return MultiPoly.constant(int(val), nvars, names)
-        if kind == "-":
-            return -parse_atom()
-        if kind == "name":
-            if val == "e" and toks.peek()[0] == "(":
-                toks.take("(")
-                _, digits = toks.take("int")
-                toks.take(")")
-                root = CyclotomicNumber.root(int(digits))
-                return MultiPoly.constant(root, nvars, names)
-            if val in index:
-                return MultiPoly.variable(index[val], nvars, names)
-            raise ValueError(f"unknown variable {val!r}")
-        raise ValueError(f"unexpected token {val!r}")
-
-    result = parse_sum()
-    if toks.peek()[0] is not None:
-        raise ValueError(f"trailing input at {toks.peek()[1]!r}")
-    return result
+    try:
+        return read(ast.parse(" ".join(toks), mode="eval").body)
+    except (SyntaxError, RecursionError):
+        raise ValueError(f"cannot read polynomial {text!r}") from None
 
 
 def parse_point(text: str) -> ProjPoint:

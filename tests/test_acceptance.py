@@ -69,7 +69,7 @@ B3_DUAL_TABLE = (
 
 def test_criterion_01_braid_and_b3_structure():
     with report(1, "braid matrices, B3 reflection lines, dual point table"):
-        want = {GroupElement(m, monomial=True) for m in BRAID_MATRICES}
+        want = {GroupElement(m) for m in BRAID_MATRICES}
         assert set(monomial_group(1, 1, 3)) == want
 
         braid = fermat_arrangement(2, 1, -1)

@@ -11,9 +11,10 @@ from fermatarr.cyclo import (
     CyclotomicNumber,
     cyclotomic_polynomial,
     euler_phi,
-    parse_cyclo,
     power_table,
 )
+from fermatarr.arrange import Flat
+from fermatarr.mpoly import parse_point, parse_poly
 from fermatarr.scheme import named_configuration
 
 ORDERS = (1, 2, 3, 4, 5, 6)
@@ -151,14 +152,6 @@ def test_rationality_detection():
     assert not eps.is_rational()
 
 
-def test_serialize_parse_round_trip():
-    rng = random.Random(7)
-    for order in ORDERS:
-        for _ in range(25):
-            a = _random_element(rng, order)
-            assert parse_cyclo(a.serialize()) == a
-
-
 def test_root_lift_and_from_rational():
     eps = CyclotomicNumber.root(5)
     assert eps == CyclotomicNumber.root(5, 6)
@@ -246,18 +239,25 @@ def test_coeffs_is_a_fraction_view_of_the_stored_value():
     assert CyclotomicNumber.root(4).coeffs == (Fraction(0), Fraction(1))
 
 
-def test_serialize_parse_round_trip_with_denominators():
-    rng = random.Random(67)
-    for order in ORDERS + (12, 16):
-        for _ in range(10):
-            x = CyclotomicNumber(order, _old_style_coeffs(rng, order))
-            text = x.serialize()
-            back = parse_cyclo(text)
-            assert back == x and (back.num, back.den) == (x.num, x.den)
-            assert back.serialize() == text
+def test_str_parse_round_trip():
+    # str is the one text form of a value: parse_poly and parse_point read
+    # it back, values with denominators and catalogue points included
+    rng, rng_den = random.Random(7), random.Random(67)
+    values = [_random_element(rng, order) for order in ORDERS for _ in range(25)]
+    values += [CyclotomicNumber(order, _old_style_coeffs(rng_den, order))
+               for order in ORDERS + (12, 16) for _ in range(10)]
+    assert len(values) == 230
+    for x in values:
+        assert parse_poly(str(x), ()) == x
     x = CyclotomicNumber(4, [Fraction(1, 2), Fraction(-2, 3)])
-    assert x.serialize() == "cyclo(4)[1/2, -2/3]"
     assert str(x) == "1/2 - 2/3*e(4)"
+    assert repr(x) == "CyclotomicNumber(4, 1/2 - 2/3*e(4))"
+    points = [fl.point() for cid in ("B3_DUAL", "FERMAT_DUAL(7,3)", "FERMAT_DUAL(12,1)",
+                                     "BMSS_P3", "MULT4_POINTS(6)", "P5_MULTI")
+              for fl, _ in named_configuration(cid).scheme.components]
+    assert len(points) == 389
+    for p in points:
+        assert Flat.from_point(parse_point(str(p))) == Flat.from_point(p)
 
 
 def test_rational_values_hash_like_their_fraction():

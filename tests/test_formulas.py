@@ -61,7 +61,7 @@ def test_symbolic_vanishing_on_configurations():
 
 def test_vanishing_detects_perturbation():
     form = b3_quartic()
-    bumped = form.poly + MultiPoly(6, {(0, 0, 0, 4, 0, 0): 1}, form.poly.names)
+    bumped = form.poly + MultiPoly(6, {(0, 0, 0, 4, 0, 0): 1})
     broken = type(form)(form.family, form.config_id, form.point_names,
                         form.coord_names, form.degree, form.multiplicity, bumped)
     assert not symbolic_vanishing_on_Z(broken)
@@ -83,7 +83,7 @@ def test_multiplicity_strictly_between_zero_and_claimed():
     # (b*x - a*y)^2 * z vanishes twice at (a : b : c): every first partial
     # vanishes there, and d^2/dx^2 leaves 2*b^2*c
     form = b3_quartic()
-    poly = parse_poly("(b*x - a*y)^2*z", form.poly.names)
+    poly = parse_poly("(b*x - a*y)^2*z", form.point_names + form.coord_names)
     double = type(form)(form.family, form.config_id, form.point_names,
                         form.coord_names, 3, form.multiplicity, poly)
     assert symbolic_multiplicity_at_general(double) == (2, True)
@@ -95,7 +95,7 @@ def test_mult4_weights_and_ideal_membership():
     assert membership_in_fat_ideal(3)
     assert membership_in_fat_ideal(5)
     form = mult4_curve(3)
-    bumped = form.poly + MultiPoly(6, {(0, 0, 0, 5, 0, 0): 1}, form.poly.names)
+    bumped = form.poly + MultiPoly(6, {(0, 0, 0, 5, 0, 0): 1})
     broken = type(form)(form.family, form.config_id, form.point_names,
                         form.coord_names, form.degree, form.multiplicity, bumped)
     assert not membership_in_fat_ideal(3, broken)

@@ -178,6 +178,15 @@ def test_parse_poly_language_is_pinned():
             parse_poly(text, X)
 
 
+def test_unary_signs_bind_looser_than_powers():
+    X = ("x0", "x1")
+    assert parse_poly("x0*-x1^2", X) == -parse_poly("x0*x1^2", X)
+    assert parse_poly("--x0^2", X) == parse_poly("x0^2", X)
+    assert parse_poly("2*-e(3)^2", X) == -2 * parse_poly("e(3)^2", X)
+    assert parse_poly("x0*(-x1)^2", X) == parse_poly("x0*x1^2", X)
+    assert parse_poly("x0*+x1", X) == parse_poly("x0*x1", X)
+
+
 def test_parse_poly_rejects_garbage():
     with pytest.raises(ValueError):
         parse_poly("x0 +* x1", ("x0", "x1"))
