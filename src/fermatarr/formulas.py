@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .arrange import Flat, parse_id
+from .cyclo import as_field, common_order
 from .interp import ConditionMatrix, UnexpectednessReport, decide_unexpected
 from .linalg import row_dot
 from .mpoly import MultiPoly, ProjPoint, graded_monomials
@@ -258,25 +259,67 @@ def symbolic_vanishing_on_Z(form: BuiltFormula,
     return True
 
 
+def _lower_indices(beta: tuple[int, ...], t: int) -> list:
+    """The j <= beta, entrywise, with |j| = t, each with prod C(beta_i, j_i)."""
+    out = [((), 1)]
+    room = sum(beta)  # what the entries after the current one can still hold
+    for b in beta:
+        room -= b
+        out = [(j + (i,), w * math.comb(b, i))
+               for j, w in out
+               for i in range(max(0, t - sum(j) - room), min(b, t - sum(j)) + 1)]
+    return out
+
+
 def symbolic_multiplicity_at_general(form: BuiltFormula) -> tuple[int, bool]:
     """Exact vanishing order at the symbolic general point.
 
-    One substitution x = a + y (the point variables a stay) gives F(a + y),
+    The substitution x = a + y (the point variables a stay) gives F(a + y),
     whose degree-t part in y is the sum over |beta| = t of
     (d^beta F)(a) * y^beta / beta!.  Its lowest y-degree is therefore the
     order of the derivative criterion.  Returns (attained, certified):
     certified means every ambient partial of order below `attained`
     vanishes identically at the point while some order-`attained` partial
     survives as a nonzero polynomial.  The zero form returns (0, False).
+
+    F(a + y) is expanded term by term with binomials: c * a^alpha * x^beta
+    adds c * prod C(beta_i, j_i) at a^(alpha + beta - j) * y^j for every
+    j <= beta.  The parts |j| = 0, 1, ... are formed in turn, one
+    coefficient of y^j (a polynomial in a) at a time, and the first
+    coefficient that is not zero ends the search.  The coefficients are
+    summed as integer numerators over one denominator in one field, so a
+    coefficient is zero when they all are.
     """
     if form.poly.is_zero():
         return (0, False)
     np_ = form.npoint
-    n = np_ + form.ncoord
-    # a_i -> a_i and x_i -> a_i + y_i; the point has one coordinate per x_i
-    shift = [[int(j in (i, i - np_)) for j in range(n)] for i in range(n)]
-    shifted = form.poly.substitute_linear(shift)
-    return (min(sum(e[np_:]) for e in shifted.terms), True)
+    coeffs = form.poly.terms.values()
+    order = common_order(coeffs)
+    den = math.lcm(*(c.den for c in coeffs))
+    terms = []
+    for e, c in form.poly.terms.items():
+        c = as_field(c, order)
+        scale = den // c.den
+        terms.append((e[:np_], e[np_:], tuple(v * scale for v in c.num)))
+    top = max(sum(beta) for _, beta, _ in terms)
+    for t in range(top + 1):
+        by_j: dict[tuple[int, ...], list] = {}
+        for alpha, beta, num in terms:
+            for j, w in _lower_indices(beta, t):
+                by_j.setdefault(j, []).append((alpha, beta, num, w))
+        for j, contributions in by_j.items():
+            coeff: dict[tuple[int, ...], list[int]] = {}
+            for alpha, beta, num, w in contributions:
+                key = tuple(a + b - i for a, b, i in zip(alpha, beta, j))
+                acc = coeff.get(key)
+                if acc is None:
+                    coeff[key] = [w * v for v in num]
+                else:
+                    for s, v in enumerate(num):
+                        acc[s] += w * v
+            if any(any(acc) for acc in coeff.values()):
+                return (t, True)
+    raise AssertionError("F(a + y) is zero for a nonzero F")
 
 
 def membership_in_fat_ideal(n: int = 3,

@@ -22,6 +22,7 @@ from .cyclo import CyclotomicNumber, as_field, common_order
 
 Coeff = CyclotomicNumber
 _ZERO = CyclotomicNumber.zero()
+_ONE = CyclotomicNumber.one()
 
 
 def default_names(nvars: int) -> tuple[str, ...]:
@@ -207,19 +208,50 @@ class MultiPoly:
         return value.terms.get((0,) * self.nvars, _ZERO)
 
     def partial_evaluate(self, assign: dict) -> "MultiPoly":
-        """Substitute constants for some variables, keeping nvars fixed."""
-        power = lru_cache(maxsize=None)(lambda i, k: assign[i] ** k)
+        """Substitute constants for some variables, keeping nvars fixed.
+
+        Ints and Fractions enter as order-1 CyclotomicNumbers.  A term with
+        a positive power of a variable assigned 0 is skipped; the value of
+        each distinct sub-exponent on the other assigned variables is
+        built once, from one cache of powers, and an integer coefficient
+        scales it by the int fast path of CyclotomicNumber.__mul__.
+        """
+        values = {i: v if isinstance(v, CyclotomicNumber)
+                  else CyclotomicNumber.from_rational(v)
+                  for i, v in assign.items()}
+        zeros = [i for i, v in values.items() if not v]
+        live = [i for i, v in values.items() if v]
+        powers = {i: [_ONE] for i in live}
+        subvalues: dict[tuple[int, ...], Coeff] = {}
+
+        def subvalue(sub):
+            out = subvalues.get(sub)
+            if out is None:
+                out = _ONE
+                for i, k in zip(live, sub):
+                    if k:
+                        pw = powers[i]
+                        while len(pw) <= k:
+                            pw.append(pw[-1] * values[i])
+                        out = out * pw[k]
+                subvalues[sub] = out
+            return out
+
         terms: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
-            ne = list(e)
-            for i in assign:
-                k = e[i]
-                if k:
-                    c = c * power(i, k)
+            if any(e[i] for i in zeros):
+                continue
+            sub = tuple(e[i] for i in live)
+            if any(sub):
+                value = subvalue(sub)
+                c = value * c.num[0] if c.order == 1 and c.den == 1 else value * c
+                ne = list(e)
+                for i in live:
                     ne[i] = 0
-            if c:
                 key = tuple(ne)
-                terms[key] = terms[key] + c if key in terms else c
+            else:
+                key = e
+            terms[key] = terms[key] + c if key in terms else c
         return self._make(terms)
 
     def substitute_linear(self, matrix) -> "MultiPoly":

@@ -495,19 +495,33 @@ def named_configuration(spec: str) -> NamedConfig:
 
 def verify_published_generators(cfg: NamedConfig) -> bool:
     """True iff every published generator vanishes identically on every
-    component flat (points by evaluation, positive-dimensional flats by
-    linear substitution)."""
+    component flat.
+
+    A form of degree D vanishes on a flat exactly when its coefficient
+    vector over graded_monomials(N+1, D) is orthogonal to every row of
+    component_rows(flat, 1, D), the coefficients of its restriction to the
+    flat; a point is the one-parameter case.  Each homogeneous part of a
+    generator is checked against the rows of its degree, computed once per
+    flat and degree, with a dot product over the part's support only.
+    """
     if not cfg.published_generators:
         raise ValueError(f"{cfg.id} has no published generators")
+    nvars = cfg.scheme.ambient + 1
+    # by_degree[D]: the degree-D part of each generator that has one, as
+    # (column in graded_monomials(nvars, D), coefficient) pairs
+    by_degree: dict[int, list] = {}
     for gen in cfg.published_generators:
-        for flat, _ in cfg.scheme.components:
-            if flat.dim == 0:
-                if not gen.evaluate(flat.point().coords).is_zero():
-                    return False
-            else:
-                basis = flat.span_basis()
-                matrix = [[basis[t][i] for t in range(len(basis))]
-                          for i in range(flat.ambient + 1)]
-                if not gen.substitute_linear(matrix).is_zero():
-                    return False
+        parts: dict[int, list] = {}
+        for e, c in gen.terms.items():
+            parts.setdefault(sum(e), []).append((e, c))
+        for deg, part in parts.items():
+            column = {mono: j for j, mono in enumerate(graded_monomials(nvars, deg))}
+            by_degree.setdefault(deg, []).append([(column[e], c) for e, c in part])
+    for flat, _ in cfg.scheme.components:
+        for deg, parts in by_degree.items():
+            rows = component_rows(flat, 1, deg)
+            for part in parts:
+                for row in rows:
+                    if sum((c * row[j] for j, c in part if row[j]), 0):
+                        return False
     return True

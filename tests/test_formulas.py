@@ -1,5 +1,8 @@
 """Closed-form equations: construction, vanishing, multiplicity, membership."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from fermatarr.formulas import (
@@ -20,6 +23,7 @@ from fermatarr.formulas import (
     symbolic_vanishing_on_Z,
     verify_family,
 )
+from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.interp import decide_unexpected
 from fermatarr.mpoly import MultiPoly, parse_poly
 from fermatarr.scheme import named_configuration
@@ -87,6 +91,52 @@ def test_multiplicity_strictly_between_zero_and_claimed():
     double = type(form)(form.family, form.config_id, form.point_names,
                         form.coord_names, 3, form.multiplicity, poly)
     assert symbolic_multiplicity_at_general(double) == (2, True)
+
+
+def _substitution_multiplicity(form):
+    # the lowest y-degree of F(a + y), by one linear substitution
+    np_ = form.npoint
+    n = np_ + form.ncoord
+    shift = [[int(j in (i, i - np_)) for j in range(n)] for i in range(n)]
+    shifted = form.poly.substitute_linear(shift)
+    return min(sum(e[np_:]) for e in shifted.terms)
+
+
+def test_multiplicity_matches_substitution_oracle():
+    families = (["B3", "M3", "M4", "BMSS"] + [f"GEN({m})" for m in range(2, 9)]
+                + [f"MULT4({n})" for n in (3, 4, 5)])
+    for family in families:
+        form = build_formula(family)
+        assert symbolic_multiplicity_at_general(form) \
+            == (_substitution_multiplicity(form), True), family
+    # seeded random forms over Q(e_3), Q(e_4) and Q(e_12), with
+    # denominators, some multiplied by a power of a linear form through
+    # the general point so that the order is above 0
+    rng = random.Random(14)
+    base = b3_quartic()
+    a, b, c, x, y, z = (MultiPoly.variable(i, 6) for i in range(6))
+    through = (b * x - a * y, c * x - a * z, (b + c) * x - a * (y + z))
+    orders = set()
+    for trial in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = tuple(rng.randint(0, 2) for _ in range(6))
+            order = rng.choice((1, 3, 4, 12))
+            coeff = CyclotomicNumber.from_rational(
+                Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3))), order)
+            terms[e] = coeff * CyclotomicNumber.root(order, rng.randrange(order))
+        poly = MultiPoly(6, terms) * rng.choice(through) ** rng.randint(0, 3)
+        form = type(base)(base.family, base.config_id, base.point_names,
+                          base.coord_names, base.degree, base.multiplicity, poly)
+        want = _substitution_multiplicity(form)
+        assert symbolic_multiplicity_at_general(form) == (want, True)
+        orders.add(want)
+    assert {0, 1, 2, 3} <= orders
+    # F(a) = a^2 + a*b is not zero, so the order is 0
+    const = type(base)(base.family, base.config_id, base.point_names,
+                       base.coord_names, 2, 0, x**2 + a * y)
+    assert symbolic_multiplicity_at_general(const) == (0, True)
+    assert _substitution_multiplicity(const) == 0
 
 
 def test_mult4_weights_and_ideal_membership():

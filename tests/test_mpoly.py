@@ -1,6 +1,7 @@
 """Sparse polynomial layer: calculus identities on random instances,
 parsing round-trips, and substitution semantics."""
 
+import itertools
 import math
 import random
 import re
@@ -213,6 +214,53 @@ def test_evaluate_matches_partial_evaluate():
         step = step.partial_evaluate({1: coords[1], 2: coords[2]})
         assert step.degree() in (None, 0)
         assert step.terms.get((0, 0, 0), CyclotomicNumber.zero(3)) == want
+
+
+def test_partial_evaluate_matches_term_by_term():
+    # coefficients with denominators, at orders 1, 3, 4 and 12 in one
+    # polynomial; assigned values 0, ints, Fractions and cyclotomic values
+    # of mixed orders, on every subset of the variables
+    rng = random.Random(14)
+    orders = (1, 3, 4, 12)
+
+    def scalar(order):
+        value = CyclotomicNumber.from_rational(
+            Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4))),
+            order)
+        return value * CyclotomicNumber.root(order, rng.randrange(order))
+
+    def assigned():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice((0, Fraction(0), CyclotomicNumber.zero(3)))
+        if kind == 1:
+            return rng.randint(-4, 4)
+        if kind == 2:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        return scalar(rng.choice(orders))
+
+    # every nonempty subset of the four variables, strict ones included
+    subsets = [s for k in range(1, 5) for s in itertools.combinations(range(4), k)]
+    seen = set()
+    for trial in range(120):
+        terms = {}
+        for _ in range(rng.randint(1, 9)):
+            e = tuple(rng.randint(0, 3) for _ in range(4))
+            terms[e] = scalar(rng.choice(orders))
+        p = MultiPoly(4, terms)
+        assign = {i: assigned() for i in subsets[trial % len(subsets)]}
+        want: dict = {}
+        for e, c in p.terms.items():
+            for i, v in assign.items():
+                c = c * v ** e[i]
+            key = tuple(0 if i in assign else k for i, k in enumerate(e))
+            want[key] = want[key] + c if key in want else c
+        got = p.partial_evaluate(assign)
+        assert got == MultiPoly(4, want)
+        assert all(type(c) is CyclotomicNumber and c for c in got.terms.values())
+        assert all(e[i] == 0 for e in got.terms for i in assign)
+        seen.update("zero" if not v else type(v).__name__ for v in assign.values())
+    assert seen == {"zero", "int", "Fraction", "CyclotomicNumber"}
 
 
 def test_substitute_linear_matches_evaluation():

@@ -102,6 +102,20 @@ def test_generator_vanishing_breaks_with_extra_component():
     assert not verify_published_generators(bigger)
 
 
+def test_generator_vanishing_on_lines():
+    # the line (s : 2s : t : 3t) is off the zero set of every LINES42
+    # generator; each line of LINES42 alone still passes
+    cfg = named_configuration("LINES42")
+    gens = cfg.published_generators
+    line = Flat.from_span([(1, 2, 0, 0), (0, 0, 1, 3)])
+    assert line.dim == 1 and line not in dict(cfg.scheme.components)
+    scheme = FatScheme(3, cfg.scheme.components + ((line, 1),))
+    assert not verify_published_generators(NamedConfig("tmp", scheme, gens))
+    for flat, _ in cfg.scheme.components:
+        alone = NamedConfig("tmp", FatScheme(3, [(flat, 1)]), gens)
+        assert flat.dim == 1 and verify_published_generators(alone)
+
+
 # -- degree-wise cut-out of Z by the printed generators ---------------------
 
 def _generator_span_dim(cfg, d):
