@@ -296,21 +296,24 @@ def symbolic_multiplicity_at_general(form: BuiltFormula) -> tuple[int, bool]:
     coeffs = form.poly.terms.values()
     order = common_order(coeffs)
     den = math.lcm(*(c.den for c in coeffs))
+    # each term as (alpha + beta, beta, numerators over den)
     terms = []
     for e, c in form.poly.terms.items():
         c = as_field(c, order)
         scale = den // c.den
-        terms.append((e[:np_], e[np_:], tuple(v * scale for v in c.num)))
+        alpha, beta = e[:np_], e[np_:]
+        terms.append((tuple(a + b for a, b in zip(alpha, beta)), beta,
+                      tuple(v * scale for v in c.num)))
     top = max(sum(beta) for _, beta, _ in terms)
     for t in range(top + 1):
         by_j: dict[tuple[int, ...], list] = {}
-        for alpha, beta, num in terms:
+        for total, beta, num in terms:
             for j, w in _lower_indices(beta, t):
-                by_j.setdefault(j, []).append((alpha, beta, num, w))
+                by_j.setdefault(j, []).append((total, num, w))
         for j, contributions in by_j.items():
             coeff: dict[tuple[int, ...], list[int]] = {}
-            for alpha, beta, num, w in contributions:
-                key = tuple(a + b - i for a, b, i in zip(alpha, beta, j))
+            for total, num, w in contributions:
+                key = tuple(k - i for k, i in zip(total, j))
                 acc = coeff.get(key)
                 if acc is None:
                     coeff[key] = [w * v for v in num]
