@@ -17,7 +17,8 @@ from fractions import Fraction
 from . import __version__
 from .arrange import derived_flats, dual_points, format_spec, parse_spec
 from .formulas import build_formula, verify_family
-from .interp import decide_unexpected, hilbert_function, system_dimension
+from .interp import (BudgetError, decide_unexpected, hilbert_function,
+                     system_dimension)
 from .render import (DEFAULT_GRID, DEFAULT_VIEWPORT, real_line_coefficients,
                      render_svg)
 from .scheme import (format_component, named_configuration, parse_scheme,
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         bundle = args.handler(args)
-    except UsageError as e:
+    except (UsageError, BudgetError) as e:
         print(f"{parser.prog}: error: {e}", file=sys.stderr)
         return 1
     except Exception as e:

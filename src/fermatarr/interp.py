@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .arrange import Flat
-from .cyclo import CyclotomicNumber
+from .cyclo import CyclotomicNumber, euler_phi
 from .linalg import eliminate
 from .mpoly import MultiPoly, graded_monomials
 from .scheme import (FatScheme, component_rows, conditions_count,
@@ -23,9 +23,34 @@ from .scheme import (FatScheme, component_rows, conditions_count,
 DEFAULT_BOX = 10_000
 _MAX_REDRAWS = 25
 
+# The one bound on the size of an elimination, checked before any row is
+# built: at most MATRIX_BUDGET monomial columns C(N+d, N), and at most
+# MATRIX_BUDGET rational entries rows x columns x phi.  The largest
+# matrices of the test suite and the benchmark hold under 10**6 entries.
+MATRIX_BUDGET = 10**8
+
 
 class DegenerateDrawError(RuntimeError):
     """Raised when random draws keep producing degenerate flats."""
+
+
+class BudgetError(ValueError):
+    """Raised when a condition matrix would exceed MATRIX_BUDGET."""
+
+
+def check_budget(Z: FatScheme, d: int, extra_rows: int = 0) -> None:
+    """Refuse the degree-d condition matrix of Z, with extra_rows more
+    rows, if it exceeds MATRIX_BUDGET; the sizes are counted, not built."""
+    N = Z.ambient
+    ncols = comb(N + d, N)
+    nrows = extra_rows + sum(conditions_count(N, flat.dim, m, d)
+                             for flat, m in Z.components)
+    phi = euler_phi(Z.root_order)
+    if max(ncols, nrows * ncols * phi) > MATRIX_BUDGET:
+        raise BudgetError(
+            f"degree {d} on P^{N} needs {nrows} rows x {ncols} columns x "
+            f"phi {phi}, over the matrix budget MATRIX_BUDGET = "
+            f"{MATRIX_BUDGET} (columns, and rows x columns x phi)")
 
 
 class ConditionMatrix:
@@ -43,6 +68,7 @@ class ConditionMatrix:
 
     @classmethod
     def from_scheme(cls, scheme: FatScheme, degree: int) -> "ConditionMatrix":
+        check_budget(scheme, degree)
         mat = cls(scheme.ambient, degree, scheme.root_order)
         for flat, mult in scheme.components:
             mat.rows.extend(component_rows(flat, mult, degree))
@@ -76,6 +102,7 @@ def hilbert_function(Z: FatScheme, d_max: int) -> list:
     """Conditions actually imposed (rank) in each degree 0..d_max."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
+    check_budget(Z, d_max)  # the largest of the matrices, refused up front
     mats = (ConditionMatrix.from_scheme(Z, d) for d in range(d_max + 1))
     return [eliminate(mat.rows, mat.ncols, mat.order).rank for mat in mats]
 
@@ -151,11 +178,12 @@ def decide_unexpected(Z: FatScheme, X_template, d: int, trials: int = 3,
         if m < 1:
             raise ValueError("template multiplicity must be >= 1")
 
+    conditions_X = sum(conditions_count(N, r, m, d) for r, m in template)
+    check_budget(Z, d, conditions_X)
     base_mat = ConditionMatrix.from_scheme(Z, d)
     base = eliminate(base_mat.rows, base_mat.ncols, base_mat.order)
     dim_Z = base_mat.ncols - base.rank
 
-    conditions_X = sum(conditions_count(N, r, m, d) for r, m in template)
     alt = None
     if template and all(r == 0 for r, _ in template):
         plane_style = sum(plane_point_count(m) for _, m in template)

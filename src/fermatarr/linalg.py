@@ -4,20 +4,24 @@ One elimination engine.  The Eliminator scales each row to integer
 coordinates in Z[e_n], blows it up into its phi(n) rational copies (the
 coefficient rows of e^0 r, ..., e^(phi-1) r) and runs one fraction-free
 integer reduction with periodic content stripping over them, for every
-order.  The rank is read off the accepted rows, the canonical RREF over
-Q(e_n) comes from back-substituting them (Eliminator.reduced, rref), and
-every kernel is built from that RREF, one vector per free column.  Rows
-may mix ints and Fractions with CyclotomicNumbers: the condition rows of
-a rational flat are int-valued, those of a cyclotomic flat hold ints
-beside CyclotomicNumbers.  Row scaling never changes rank or kernel.
+order.  A pivot row is kept as its nonzero entries and applied through
+them alone; the working row is scaled only when the pivot's lead does
+not divide the entry it clears, which a lead of 1 always does.  The rank
+is read off the accepted rows, the canonical RREF over Q(e_n) comes from
+back-substituting them (Eliminator.reduced, rref), and every kernel is
+built from that RREF, one vector per free column.  Rows may mix ints and
+Fractions with CyclotomicNumbers: the condition rows of a rational flat
+are int-valued, those of a cyclotomic flat hold ints beside
+CyclotomicNumbers.  Row scaling never changes rank or kernel.
 """
 from __future__ import annotations
 
 import math
+from itertools import compress, count, islice
 
 from .cyclo import CyclotomicNumber, euler_phi, power_table
 
-_STRIP_EVERY = 8
+_STRIP_EVERY = 8  # a working row loses its content after every 8th scaling
 
 
 def eliminate(rows, ncols: int, order: int) -> Eliminator:
@@ -119,6 +123,23 @@ def _times_root(vals, top):
     return out
 
 
+def _apply(vals, k, start, pivot):
+    """Clear vals[k] with the pivot that leads at column k: vals becomes
+    s*vals - t*pivot with s = p/gcd(p, vals[k]) for the pivot's lead p.
+    Only the pivot's nonzero entries are touched unless s > 1, when vals
+    from start on (it is zero before) is scaled first; returns s > 1."""
+    cols, coeffs = pivot
+    p, e = coeffs[0], vals[k]
+    g = math.gcd(p, e)
+    if g != p:
+        s = p // g
+        vals[start:] = [s * x for x in islice(vals, start, None)]
+    t = e // g
+    for c, y in zip(cols, coeffs):
+        vals[c] -= t * y
+    return g != p
+
+
 class Eliminator:
     """Incremental exact rank, canonical RREF and kernel over Q(e_order).
 
@@ -129,12 +150,18 @@ class Eliminator:
     copy is reduced to decide independence; the other copies are derived
     from the reduced row, which agrees with r modulo the accepted span.
 
-    Pivot rows are stored as suffixes starting at their leading column and
-    are immutable once accepted, so clones share them; that makes
-    per-trial reuse of a common base matrix cheap.  An incoming row is
-    reduced only at its current leading column, which both shrinks the
-    working suffix with every application and skips zero columns for
-    free; the accepted rows form a row echelon set with distinct leads.
+    A pivot row is kept as its nonzero entries only: a tuple of columns,
+    its leading column first, beside a tuple of their coefficients, the
+    first of them positive.  Both are immutable once accepted, so clones
+    share them; that makes per-trial reuse of a common base matrix cheap.
+    The incoming row is a dense list, reduced in place at each of its
+    leading columns in turn: a pivot is applied through its own nonzero
+    entries, and the row is scaled (by lead / gcd(lead, entry)) only when
+    the pivot's lead does not divide the entry, so never by a lead of 1.
+    The condition rows of derived configurations are sparse and most of
+    their leads are 1, so an application costs about the pivot's few
+    nonzeros instead of the whole row.  The accepted rows form a row
+    echelon set with distinct leads.
     """
 
     def __init__(self, ncols: int, order: int) -> None:
@@ -159,47 +186,49 @@ class Eliminator:
         """Reduce a flat row of ncols*phi ints against the current pivots;
         keep it, with its e-multiples, if independent."""
         phi = self.phi
-        lead = self._reduce(row, 0)
+        lead = self._reduce(row)
         if lead is None:
             return False
         if phi > 1:
-            start = lead - lead % phi
-            vals = [0] * (lead - start) + list(self._pivots[lead])
+            vals = self._dense(lead)
             top = power_table(self.order)[phi]
             for _ in range(phi - 1):
                 vals = _times_root(vals, top)
-                self._reduce(vals, start)
+                self._reduce(vals)
         return True
 
-    def _reduce(self, vals, offset):
-        """Reduce vals, whose first entry sits at column offset; store it
-        and return its leading column if it does not vanish."""
+    def _dense(self, lead):
+        """The pivot that leads at column lead as a full-width list."""
+        cols, coeffs = self._pivots[lead]
+        vals = [0] * (self.ncols * self.phi)
+        for c, y in zip(cols, coeffs):
+            vals[c] = y
+        return vals
+
+    def _reduce(self, row):
+        """Reduce a copy of the dense row; store it and return its leading
+        column if it does not vanish."""
         pivots = self._pivots
-        k = 0
-        while k < len(vals) and not vals[k]:
-            k += 1
-        vals = vals[k:]
-        offset += k
-        ops = 0
-        while vals:
-            prow = pivots.get(offset)
-            if prow is None:
-                pivots[offset] = tuple(_strip(vals))
-                return offset
-            p = prow[0]
-            e = vals[0]
-            pairs = zip(vals, prow)
-            next(pairs)
-            vals = [p * x - e * y for x, y in pairs]
-            offset += 1
-            ops += 1
-            if ops % _STRIP_EVERY == 0:
-                vals = _strip(vals)
-            k = 0
-            while k < len(vals) and not vals[k]:
-                k += 1
-            vals = vals[k:]
-            offset += k
+        vals = list(row)
+        scaled = 0
+        # compress reads each entry only once the pivots before it are
+        # applied, so it yields the leads in turn and then the nonzeros
+        nonzero = compress(count(), vals)
+        for k in nonzero:
+            pivot = pivots.get(k)
+            if pivot is None:
+                cols = (k, *nonzero)
+                coeffs = [vals[c] for c in cols]
+                g = math.gcd(*coeffs)
+                if coeffs[0] < 0:
+                    g = -g
+                pivots[k] = (cols, tuple(coeffs) if g == 1
+                             else tuple(v // g for v in coeffs))
+                return k
+            if _apply(vals, k, k, pivot):
+                scaled += 1
+                if scaled % _STRIP_EVERY == 0:
+                    vals[k:] = _strip(vals[k:])
         return None
 
     def reduced(self):
@@ -215,23 +244,17 @@ class Eliminator:
         for i, lead in enumerate(leads):
             if lead % phi:
                 continue
-            row = pivots[lead]
+            row = self._dense(lead)
+            scaled = 0
             for j in leads[i + 1:]:
-                k = j - lead
-                e = row[k]
-                if e:
-                    prow = pivots[j]
-                    p = prow[0]
-                    row = _strip([p * x for x in row[:k]]
-                                 + [p * x - e * y
-                                    for x, y in zip(row[k:], prow)])
-            if row[0] < 0:
-                row = [-x for x in row]
-            den = row[0]
-            full = [0] * lead + list(row)
+                if row[j] and _apply(row, j, lead, pivots[j]):
+                    scaled += 1
+                    if scaled % _STRIP_EVERY == 0:
+                        row[lead:] = _strip(row[lead:])
+            den = row[lead]  # positive: the pivot's lead times positive scales
             pivot_cols.append(lead // phi)
-            out.append(tuple(CyclotomicNumber._make(order, tuple(full[s:s + phi]), den)
-                             for s in range(0, len(full), phi)))
+            out.append(tuple(CyclotomicNumber._make(order, tuple(row[s:s + phi]), den)
+                             for s in range(0, len(row), phi)))
         return pivot_cols, out
 
     def kernel_basis(self):

@@ -9,6 +9,9 @@ the regular representation, and the rank of the blown-up matrix is found by
 plain dense Gaussian elimination over Fraction.  For any matrix M over the
 field, rank_Q(blowup(M)) = phi(n) * rank_{Q(e_n)}(M).
 
+The RREF oracle is plain Gauss-Jordan over Q(e_n) with the field's own
+division (CyclotomicNumber.inverse), pivoting on the first nonzero entry.
+
 general_point_count is the count of conditions one general fat point
 imposes, C(N+m-1, N), which the conditions-count tests compare against.
 """
@@ -68,6 +71,31 @@ def rational_rank(rows) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def field_rref_oracle(field_rows, ncols: int, order: int):
+    """(pivot_cols, rows) of the reduced row echelon form over Q(e_order),
+    by Gauss-Jordan elimination with field division.  Entries are
+    CyclotomicNumbers, ints or Fractions."""
+    rows = [[v.lift(order) if isinstance(v, CyclotomicNumber)
+             else CyclotomicNumber.from_rational(v, order) for v in row]
+            for row in field_rows]
+    pivot_cols = []
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        piv = next((i for i in range(rank, len(rows))
+                    if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [v * inv for v in rows[rank]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != rank and not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(row, rows[rank])]
+        pivot_cols.append(col)
+    return pivot_cols, [tuple(row) for row in rows[:len(pivot_cols)]]
 
 
 def field_rank_oracle(field_rows, order: int) -> int:

@@ -111,6 +111,20 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1, argv
 
 
+def test_matrix_budget_refusal_exits_1(capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a condition row was built")
+    monkeypatch.setattr(fermatarr.interp, "component_rows", no_rows)
+    for argv in (("dimension", "--config-id", "B3_DUAL", "--degree", "100000"),
+                 ("hilbert", "--config-id", "B3_DUAL", "--max-degree", "100000"),
+                 ("unexpected", "--config-id", "B3_DUAL", "--degree", "100000",
+                  "--mult", "0,3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "MATRIX_BUDGET" in err and "computation failed" not in err
+
+
 def test_missing_scheme_file_exits_1(capsys):
     code, _, err = run(capsys, "dimension", "--scheme", "/no/such/file",
                        "--degree", "4")

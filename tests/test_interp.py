@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from fermatarr import interp
 from fermatarr.arrange import Flat
 from fermatarr.interp import (
+    BudgetError,
     ConditionMatrix,
     DegenerateDrawError,
+    check_budget,
     decide_unexpected,
     hilbert_function,
     random_flat,
@@ -152,6 +155,35 @@ def test_decide_unexpected_validates_template():
         decide_unexpected(B3, [(0, 0)], 4)
     with pytest.raises(ValueError):
         decide_unexpected(B3, [(0, 3)], 4, trials=0)
+
+
+def _no_rows(*args):
+    raise AssertionError("a condition row was built")
+
+
+def test_budget_refuses_before_any_row_is_built(monkeypatch):
+    # C(100002, 2) columns: refused from the counts, with no row built
+    monkeypatch.setattr(interp, "component_rows", _no_rows)
+    for run in (lambda: system_dimension(B3, 100_000),
+                lambda: hilbert_function(B3, 100_000),
+                lambda: decide_unexpected(B3, [(0, 3)], 100_000)):
+        with pytest.raises(BudgetError, match="MATRIX_BUDGET"):
+            run()
+
+
+def test_budget_counts_rows_columns_phi_and_template(monkeypatch):
+    # B3_DUAL in degree 4: 9 rows x 15 columns, and 15 rows with a triple
+    # point; FERMAT_DUAL(3,2) counts phi(3) = 2 rational entries per entry
+    monkeypatch.setattr(interp, "MATRIX_BUDGET", 135)
+    assert system_dimension(B3, 4) == 6
+    monkeypatch.setattr(interp, "component_rows", _no_rows)
+    with pytest.raises(BudgetError, match="15 rows x 15 columns x phi 1"):
+        decide_unexpected(B3, [(0, 3)], 4)
+    monkeypatch.setattr(interp, "MATRIX_BUDGET", 134)
+    with pytest.raises(BudgetError, match="9 rows x 15 columns"):
+        system_dimension(B3, 4)
+    with pytest.raises(BudgetError, match="x phi 2"):
+        check_budget(M3, 4)
 
 
 def test_random_flat_shapes():

@@ -4,7 +4,7 @@ independent rational blow-up oracle (tests/helpers.py)."""
 import random
 from fractions import Fraction
 
-from helpers import field_rank_oracle
+from helpers import field_rank_oracle, field_rref_oracle
 
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.linalg import (
@@ -84,6 +84,90 @@ def test_zero_rows_never_increase_rank():
     assert elim.rank == 0
 
 
+def _integral_entry(rng, order):
+    """A nonzero entry with integer coefficients: an int or, over Q(e), a
+    short combination of powers of e."""
+    if order == 1 or rng.random() < 0.4:
+        return rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+    while True:
+        v = CyclotomicNumber(order, [rng.choice((-2, -1, 0, 0, 1, 2))
+                                     for _ in range(euler_phi(order))])
+        if not v.is_zero():
+            return v
+
+
+def _entry(rng, order):
+    """A nonzero entry: integral, a Fraction, or a root of unity or a
+    general element with denominators."""
+    kind = rng.random()
+    if kind < 0.5:
+        return _integral_entry(rng, order)
+    if order == 1 or kind < 0.7:
+        return Fraction(rng.choice((-5, -3, -1, 1, 2, 7)), rng.randint(2, 6))
+    if kind < 0.85:
+        return CyclotomicNumber.root(order, rng.randrange(1, order)) \
+            * rng.choice((-3, -1, 2))
+    return CyclotomicNumber(order, [Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                    for _ in range(euler_phi(order) - 1)] + [1])
+
+
+def _field_row(row, order):
+    return [v if isinstance(v, CyclotomicNumber)
+            else CyclotomicNumber.from_rational(v, order) for v in row]
+
+
+def _sparse_matrix(rng, nrows, ncols, order, density):
+    """nrows rows of about the given density, half of them integral and led
+    by +-1, the others led by another value, then planted dependencies:
+    combinations of one or two of them with field scalars, shuffled in."""
+    rows = []
+    for i in range(nrows):
+        unit = i % 2 == 0
+        pick = _integral_entry if unit else _entry
+        cols = [c for c in range(ncols) if rng.random() < density] \
+            or [rng.randrange(ncols)]
+        row = [0] * ncols
+        for c in cols:
+            row[c] = pick(rng, order)
+        if unit:
+            row[cols[0]] = rng.choice((1, -1))
+        elif row[cols[0]] in (1, -1):
+            row[cols[0]] = 3
+        rows.append(row)
+    field = [_field_row(row, order) for row in rows]
+    for _ in range(max(2, nrows // 3)):
+        a, b = rng.sample(range(nrows), 2)
+        s = _entry(rng, order)
+        t = _entry(rng, order) if rng.random() < 0.7 else 0
+        rows.append([s * x + t * y for x, y in zip(field[a], field[b])])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_rows_match_oracles():
+    # rows of density 0.05 to 0.3 exercise pivots applied through their
+    # few nonzeros, unit leads that need no scaling and dependent rows
+    # that reduce to zero; phi = 1, 2, 4, 6
+    rng = random.Random(20)
+    shapes = {1: (28, 36), 3: (20, 26), 5: (12, 18), 7: (9, 14)}
+    for order, (nrows, ncols) in shapes.items():
+        for density in (0.05, 0.12, 0.2, 0.3):
+            rows = _sparse_matrix(rng, nrows, ncols, order, density)
+            elim = Eliminator(ncols, order)
+            for row in rows:
+                elim.add_field_row(row)
+            assert elim.rank == field_rank_oracle(rows, order)
+            pivots, red = elim.reduced()
+            want_pivots, want = field_rref_oracle(rows, ncols, order)
+            assert pivots == want_pivots
+            assert red == want
+            basis = elim.kernel_basis()
+            assert len(basis) == ncols - elim.rank
+            for vec in basis:
+                for row in rows:
+                    assert row_dot(_field_row(row, order), vec).is_zero()
+
+
 def test_clone_isolation():
     rng = random.Random(14)
     order = 5
@@ -103,6 +187,23 @@ def test_clone_isolation():
     for row in extra:
         again.add_field_row(row)
     assert again.rank == fork.rank
+    # clones share the base's pivots, nonzero positions and coefficients
+    # alike: sparse rows reduced against them in two clones leave the base
+    # as it was, and the two clones agree row by row
+    for order in (1, 3, 5):
+        ncols = 16
+        base = Eliminator(ncols, order)
+        for row in _sparse_matrix(rng, 6, ncols, order, 0.25):
+            base.add_field_row(row)
+        rank, red = base.rank, base.reduced()
+        one, two = base.clone(), base.clone()
+        for row in _sparse_matrix(rng, 8, ncols, order, 0.3):
+            assert one.add_field_row(row) == two.add_field_row(row)
+        assert one.rank == two.rank > rank
+        assert one.reduced() == two.reduced()
+        assert one.kernel_basis() == two.kernel_basis()
+        assert base.rank == rank
+        assert base.reduced() == red
 
 
 def test_kernel_vectors_annihilated_by_all_rows():
