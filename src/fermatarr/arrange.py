@@ -14,14 +14,67 @@ from __future__ import annotations
 import itertools
 from math import comb, factorial
 
-from .cyclo import CyclotomicNumber, as_field, common_order
-from .linalg import kernel_of_rows, kernel_of_rref, row_dot, rref
+from .cyclo import CyclotomicNumber, as_field, common_order, euler_phi
+from .linalg import kernel_of_rref, row_dot, rref
 from .mpoly import MultiPoly, ProjPoint
 
 _ZERO = CyclotomicNumber.zero()
 _ONE = CyclotomicNumber.one()
 
 GROUP_ORDER_CAP = 100_000
+
+# The bound on the flats one arrangement id builds, the sibling of
+# interp.MATRIX_BUDGET, checked from closed forms before any flat is made.
+# Each flat is the RREF of a few equation rows over Q(e_n) in P^N, and the
+# Eliminator holds one such row as phi(n) rational rows of (N+1)*phi(n)
+# entries; a build may hold at most FLAT_BUDGET of those entries over all
+# its rows.  The largest builds of the test suite, the derived points of
+# A(5,0,2) and A(5,1,2), hold about 1.4 * 10**5, and MULT4_POINTS(24)
+# about 10**6.
+FLAT_BUDGET = 10**8
+
+
+class BudgetError(ValueError):
+    """Raised when a build or a condition matrix would exceed its budget."""
+
+
+def check_flat_budget(N: int, n: int, k: int, t: int | None = None) -> None:
+    """Check the parameters of A(N+1, k+1, n), and refuse it if building
+    its hyperplanes, their dual points and, unless t is None, the descent
+    of derived_flats to its t-flats would hold more than FLAT_BUDGET
+    rational entries.  The sizes are counted, not built.
+
+    There are H = n*C(N+1, 2) + k + 1 hyperplanes and one dual point per
+    hyperplane, one equation row each.  A meet at codimension c has c
+    rows, and the descent makes at most C(H, c) meets there: a meet (G, i)
+    has i above every index G carries, so the c-set of i and a basis of
+    G's hyperplanes has i as its largest element and determines (G, i).
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not -1 <= k <= N:
+        raise ValueError("k must be in -1..N")
+    if t is not None and not 0 <= t <= N - 1:
+        raise ValueError(f"the flat dimension must lie in [0, {N - 1}]")
+    hyps = n * comb(N + 1, 2) + k + 1
+    rows = 2 * hyps
+    # phi(n) >= 1, so once the rows alone are over the budget, neither the
+    # deeper levels nor phi(n) need counting
+    for c in range(2, N - t + 1 if t is not None else 2):
+        if rows * (N + 1) > FLAT_BUDGET:
+            break
+        rows += c * comb(hyps, c)
+    size = rows * (N + 1)
+    if size <= FLAT_BUDGET:
+        size *= euler_phi(n) ** 2
+    if size > FLAT_BUDGET:
+        below = f" down to its {t}-flats" if t is not None else ""
+        raise BudgetError(
+            f"A({N + 1},{k + 1},{n}){below} needs more than the flat budget "
+            f"FLAT_BUDGET = {FLAT_BUDGET} rational entries (equation rows "
+            f"x {N + 1} columns x phi({n})^2)")
 
 
 def _cyc_key(value: CyclotomicNumber):
@@ -74,14 +127,9 @@ def fermat_arrangement(N: int, n: int, k: int) -> Arrangement:
     """All hyperplanes x_i - e(n)^a x_j (i < j, a in [n]) plus x_0..x_k.
 
     k = -1 includes no coordinate hyperplanes.  The hyperplane count is
-    n*C(N+1,2) + k + 1.
+    n*C(N+1,2) + k + 1; check_flat_budget refuses an oversize one first.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not -1 <= k <= N:
-        raise ValueError("k must be in -1..N")
+    check_flat_budget(N, n, k)
     hyps = []
     for i in range(k + 1):
         form = [_ZERO] * (N + 1)
@@ -120,13 +168,16 @@ def parse_id(spec: str, noun: str) -> tuple[str, tuple[int, ...]]:
     return head.strip().upper(), params
 
 
-def parse_spec(text: str) -> Arrangement:
+def parse_spec(text: str, t: int | None = None) -> Arrangement:
     """Parse an arrangement spec string A(N+1, k+1, n); the head is
-    case-insensitive."""
+    case-insensitive.  With t, the descent to its derived t-flats is
+    checked against FLAT_BUDGET before any hyperplane is built."""
     head, params = parse_id(text, "arrangement")
     if head != "A" or len(params) != 3:
         raise ValueError(f"bad arrangement spec {text!r}: expected A(N+1,k+1,n)")
     n1, k1, n = params
+    if t is not None:
+        check_flat_budget(n1 - 1, n, k1 - 1, t)
     return fermat_arrangement(n1 - 1, n, k1 - 1)
 
 
@@ -268,15 +319,27 @@ class Flat:
 
     @staticmethod
     def from_span(vectors) -> "Flat":
-        """The flat spanned by the given coordinate vectors."""
-        vecs = [tuple(vec) for vec in vectors]
+        """The flat spanned by the given coordinate vectors, from one RREF.
+
+        Let R be the RREF of the vectors with their columns reversed.  For
+        each free column f, the form with a unit at f and -R_i[f] at each
+        pivot p_i annihilates the span, and R_i[f] is nonzero only when
+        p_i < f.  Turned back, that form is led by its unit, which is its
+        only nonzero entry among the free columns: taken by descending f,
+        the forms are already the canonical RREF of the equations."""
+        vecs = [tuple(vec)[::-1] for vec in vectors]
         if not vecs:
             raise ValueError("span needs at least one vector")
         ncols = len(vecs[0])
-        forms = kernel_of_rows(vecs, ncols, common_order(v for vec in vecs for v in vec))
-        if not forms:
+        order = common_order(v for vec in vecs for v in vec)
+        _, red = rref(vecs, ncols, order)
+        if not red:
+            raise ValueError("vectors are all zero")
+        if len(red) == ncols:
             raise ValueError("vectors span the whole space")
-        return Flat.from_equations(forms)
+        forms = kernel_of_rref(red, ncols, order)
+        return Flat(tuple(form[::-1] for form in reversed(forms)), ncols - 1,
+                    _canonical=True)
 
     @staticmethod
     def from_point(point: ProjPoint) -> "Flat":
@@ -352,14 +415,23 @@ def derived_flats(arr: Arrangement, t: int, min_hyperplanes: int) -> list:
     min_hyperplanes arrangement hyperplanes, canonically sorted.
 
     The descent goes down one dimension at a time from the hyperplanes.
-    Each flat carries the indices of the hyperplanes that contain it and
-    meets only the others, so every meet drops the dimension by one.  It
-    reaches each lattice flat F: leaving out one of the independent forms
-    that cut out F leaves a lattice flat one dimension above F.  The set
-    F carries, the union over the meets reaching F of the parent's set and
-    the hyperplane met, holds every H containing F: some lattice flat one
-    dimension above F contains F but is not inside H, since otherwise H
-    would contain their span, the whole space; meeting the two gives F.
+    Each flat F carries the set on(F) of the indices of the hyperplanes
+    containing it that its meets have seen, the union over the meets
+    (G, i) reaching F of on(G) and i.  F meets only the hyperplanes whose
+    index is above max on(F), once each.  As on(F) holds every hyperplane
+    containing F (below), every meet drops the dimension by one.
+
+    By induction on the level, the descent reaches every lattice flat F,
+    and on(F) is the set S(F) of all hyperplanes containing F.  At the
+    top, a hyperplane carries its own index, and distinct hyperplanes
+    contain no other.  Below, the forms of S(F) cut out F.  Let i* be
+    max S(F), take any other j in S(F), and extend {j, i*} to a basis B,
+    inside S(F), of those forms.  G, the meet of B without i*, is a
+    lattice flat one dimension above F.  Then j is in S(G), i* is not,
+    and S(G) lies in S(F), so max S(G) < i*.  G is reached with on(G) =
+    S(G), so the descent meets G with H_{i*}, which gives F; hence F is
+    reached, and i* and j are in on(F).  The pairs (G, i) are met once
+    each, so no meet of two hyperplanes is computed twice.
     """
     N = arr.N
     if not 0 <= t <= N - 1:
@@ -371,10 +443,9 @@ def derived_flats(arr: Arrangement, t: int, min_hyperplanes: int) -> list:
     for _ in range(N - 1 - t):
         nxt = {}
         for fl, on in current.items():
-            for i, h in enumerate(hyps):
-                if i not in on:
-                    below = Flat.from_equations(fl.equations + h.equations)
-                    nxt.setdefault(below, set()).update(on, (i,))
+            for i in range(max(on) + 1, len(hyps)):
+                below = Flat.from_equations(fl.equations + hyps[i].equations)
+                nxt.setdefault(below, set()).update(on, (i,))
         current = nxt
     out = (fl for fl, on in current.items() if len(on) >= min_hyperplanes)
     return sorted(out, key=Flat.sort_key)

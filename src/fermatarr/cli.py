@@ -119,9 +119,9 @@ def build_parser() -> _Parser:
 
 # -- input resolution --------------------------------------------------------
 
-def _arrangement(spec: str):
+def _arrangement(spec: str, flat_dim: int | None = None):
     try:
-        return parse_spec(spec)
+        return parse_spec(spec, flat_dim)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -212,11 +212,9 @@ def cmd_dual(args):
 
 
 def cmd_derived(args):
-    arr = _arrangement(args.spec)
-    if not 0 <= args.flat_dim < arr.N:
-        raise UsageError(f"--flat-dim must lie in [0, {arr.N - 1}]")
     if args.min_count < 2:
         raise UsageError("--min-count must be at least 2")
+    arr = _arrangement(args.spec, args.flat_dim)
     flats = derived_flats(arr, args.flat_dim, args.min_count)
     listing = [format_component(fl) for fl in flats]
     params = {"spec": format_spec(arr), "flat_dim": args.flat_dim,

@@ -54,7 +54,20 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """The degree of Phi_n: n times 1 - 1/p for each prime p dividing n,
+    found by trial division, so a size check need not build Phi_n."""
+    if n < 1:
+        raise ValueError("order must be a positive integer")
+    phi, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
 
 
 @lru_cache(maxsize=None)

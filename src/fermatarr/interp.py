@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .arrange import Flat
+from .arrange import BudgetError, Flat
 from .cyclo import CyclotomicNumber, euler_phi
 from .linalg import eliminate
 from .mpoly import MultiPoly, graded_monomials
@@ -25,8 +25,10 @@ _MAX_REDRAWS = 25
 
 # The one bound on the size of an elimination, checked before any row is
 # built: at most MATRIX_BUDGET monomial columns C(N+d, N), and at most
-# MATRIX_BUDGET rational entries rows x columns x phi.  The largest
-# matrices of the test suite and the benchmark hold under 10**6 entries.
+# MATRIX_BUDGET rational entries rows x columns x phi, over every trial of
+# a decision.  The largest matrices of the test suite and the benchmark
+# hold under 10**6 entries.  arrange.FLAT_BUDGET is its sibling for the
+# flats an arrangement id builds.
 MATRIX_BUDGET = 10**8
 
 
@@ -34,23 +36,23 @@ class DegenerateDrawError(RuntimeError):
     """Raised when random draws keep producing degenerate flats."""
 
 
-class BudgetError(ValueError):
-    """Raised when a condition matrix would exceed MATRIX_BUDGET."""
-
-
-def check_budget(Z: FatScheme, d: int, extra_rows: int = 0) -> None:
+def check_budget(Z: FatScheme, d: int, extra_rows: int = 0,
+                 trials: int = 1) -> None:
     """Refuse the degree-d condition matrix of Z, with extra_rows more
-    rows, if it exceeds MATRIX_BUDGET; the sizes are counted, not built."""
+    rows, or trials such matrices, if they exceed MATRIX_BUDGET; the sizes
+    are counted, not built."""
     N = Z.ambient
     ncols = comb(N + d, N)
     nrows = extra_rows + sum(conditions_count(N, flat.dim, m, d)
                              for flat, m in Z.components)
     phi = euler_phi(Z.root_order)
-    if max(ncols, nrows * ncols * phi) > MATRIX_BUDGET:
+    if max(ncols, trials * nrows * ncols * phi) > MATRIX_BUDGET:
+        each = f"{trials} trials x " if trials > 1 else ""
         raise BudgetError(
-            f"degree {d} on P^{N} needs {nrows} rows x {ncols} columns x "
-            f"phi {phi}, over the matrix budget MATRIX_BUDGET = "
-            f"{MATRIX_BUDGET} (columns, and rows x columns x phi)")
+            f"degree {d} on P^{N} needs {each}{nrows} rows x {ncols} columns "
+            f"x phi {phi}, over the matrix budget MATRIX_BUDGET = "
+            f"{MATRIX_BUDGET} (columns, and {each and 'trials x '}rows x "
+            f"columns x phi)")
 
 
 class ConditionMatrix:
@@ -166,7 +168,9 @@ def decide_unexpected(Z: FatScheme, X_template, d: int, trials: int = 3,
     system_dimension(Z + X, d) over trials.  expected subtracts one
     conditions_count per entry from dim_Z; when every entry is a point
     and the plane-style count sum(C(m+1, 2)) differs from that, the
-    alternative is reported alongside, not used.
+    alternative is reported alongside, not used.  check_budget counts
+    each trial as one condition matrix of Z and X, so the trials are
+    bounded by MATRIX_BUDGET before any row is built.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -179,7 +183,7 @@ def decide_unexpected(Z: FatScheme, X_template, d: int, trials: int = 3,
             raise ValueError("template multiplicity must be >= 1")
 
     conditions_X = sum(conditions_count(N, r, m, d) for r, m in template)
-    check_budget(Z, d, conditions_X)
+    check_budget(Z, d, conditions_X, trials)
     base_mat = ConditionMatrix.from_scheme(Z, d)
     base = eliminate(base_mat.rows, base_mat.ncols, base_mat.order)
     dim_Z = base_mat.ncols - base.rank

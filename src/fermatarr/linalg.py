@@ -61,11 +61,6 @@ def kernel_of_rref(red, ncols: int, order: int):
     return basis
 
 
-def kernel_of_rows(rows, ncols: int, order: int):
-    """Basis of {v : row . v = 0 for all rows}, from the canonical RREF."""
-    return kernel_of_rref(rref(rows, ncols, order)[1], ncols, order)
-
-
 def row_dot(row, vec) -> CyclotomicNumber:
     acc = CyclotomicNumber.zero()
     for a, b in zip(row, vec):

@@ -25,8 +25,8 @@ import itertools
 from functools import lru_cache
 from math import comb, lcm, perm
 
-from .arrange import (Flat, derived_flats, dual_points, fermat_arrangement,
-                      parse_id)
+from .arrange import (Flat, check_flat_budget, derived_flats, dual_points,
+                      fermat_arrangement, parse_id)
 from .cyclo import CyclotomicNumber, euler_phi
 from .linalg import _field_row_to_int
 from .mpoly import (MultiPoly, ProjPoint, default_names, graded_monomials,
@@ -345,6 +345,13 @@ def component_rows(flat: Flat, mult: int, d: int):
     d-k.  _expansions gives those restrictions as dense lists, and
     _derivative_table, shared by every call with the same (N+1, k, d-k),
     gives the columns and scales.
+
+    The rows come last beta first and, within one beta, last mu first: the
+    reverse of graded order.  Then a row's leading column tends to come
+    before those of the rows already accepted, which the Eliminator has
+    no pivot for, so it applies about half as many pivots as in graded
+    order.  A point's rows have strictly descending leads, so over Q they
+    need none among themselves.
     """
     nvars = flat.ambient + 1
     k = min(mult, d + 1) - 1
@@ -372,6 +379,7 @@ def component_rows(flat: Flat, mult: int, d: int):
                 if v:
                     row[col] = v if scale == 1 else v * scale
             rows.append(tuple(row))
+    rows.reverse()
     return rows
 
 
@@ -429,6 +437,7 @@ def _points_scheme(points, ambient: int) -> FatScheme:
 
 
 def _derived_scheme(N: int, n: int, t: int, min_hyperplanes: int) -> FatScheme:
+    check_flat_budget(N, n, -1, t)
     flats = derived_flats(fermat_arrangement(N, n, -1), t, min_hyperplanes)
     return FatScheme(N, [(fl, 1) for fl in flats])
 

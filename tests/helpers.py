@@ -14,12 +14,21 @@ division (CyclotomicNumber.inverse), pivoting on the first nonzero entry.
 
 general_point_count is the count of conditions one general fat point
 imposes, C(N+m-1, N), which the conditions-count tests compare against.
+
+kernel_of_rows is the kernel of any rows, through the canonical RREF;
+Flat.from_equations of it is the two-RREF route to a span's equations.
+
+The derived-flats oracle is the all-pairs descent: every flat meets every
+hyperplane that does not contain it, so each meet of a flat with a
+hyperplane is made from both sides.
 """
 
 from fractions import Fraction
 from math import comb
 
+from fermatarr.arrange import Flat
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
+from fermatarr.linalg import kernel_of_rref, rref
 from fermatarr.mpoly import MultiPoly, graded_monomials
 
 
@@ -126,3 +135,25 @@ def chart_rows(flat, m: int, d: int):
 def general_point_count(N: int, m: int) -> int:
     """Conditions expected from one general fat point: C(N+m-1, N)."""
     return comb(N + m - 1, N)
+
+
+def kernel_of_rows(rows, ncols: int, order: int):
+    """Basis of {v : row . v = 0 for all rows}, from the canonical RREF."""
+    return kernel_of_rref(rref(rows, ncols, order)[1], ncols, order)
+
+
+def all_pairs_derived_counts(arr, t: int) -> dict:
+    """Every t-dimensional lattice flat of arr, mapped to the number of
+    hyperplanes containing it: a flat carries the indices of the
+    hyperplanes met on the way to it and meets every other hyperplane."""
+    hyps = arr.hyperplanes
+    current = {h: {i} for i, h in enumerate(hyps)}
+    for _ in range(arr.N - 1 - t):
+        nxt = {}
+        for fl, on in current.items():
+            for i, h in enumerate(hyps):
+                if i not in on:
+                    below = Flat.from_equations(fl.equations + h.equations)
+                    nxt.setdefault(below, set()).update(on, (i,))
+        current = nxt
+    return {fl: len(on) for fl, on in current.items()}

@@ -2,11 +2,16 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from helpers import all_pairs_derived_counts, kernel_of_rows
 
+from fermatarr import arrange
 from fermatarr.arrange import (
+    FLAT_BUDGET,
+    BudgetError,
     Flat,
     GroupElement,
     containing_hyperplanes,
@@ -19,7 +24,7 @@ from fermatarr.arrange import (
     parse_spec,
     reflections_of,
 )
-from fermatarr.cyclo import CyclotomicNumber
+from fermatarr.cyclo import CyclotomicNumber, common_order
 from fermatarr.formulas import equal_up_to_scalar
 from fermatarr.mpoly import ProjPoint, parse_point, parse_poly
 from fermatarr.scheme import format_component
@@ -226,3 +231,98 @@ def test_rational_flats_store_their_entries_at_order_one():
         entries = [v for row in fl.equations for v in row]
         entries += [v for vec in fl.span_basis() for v in vec]
         assert {v.order for v in entries} == {1}
+
+
+def test_derived_flats_match_the_all_pairs_descent():
+    # meeting each flat only with the hyperplanes above its largest index
+    # finds the same flats, with the same hyperplane counts, as meeting it
+    # with every hyperplane not containing it
+    specs = [f"A(3,{k},{n})" for k in range(4) for n in range(1, 7)]
+    specs += ["A(4,0,2)", "A(4,0,3)"]
+    for spec in specs:
+        arr = parse_spec(spec)
+        for t in range(arr.N):
+            counts = all_pairs_derived_counts(arr, t)
+            for k in (2, 3, 4):
+                want = sorted((fl for fl, c in counts.items() if c >= k),
+                              key=Flat.sort_key)
+                assert derived_flats(arr, t, k) == want, (spec, t, k)
+
+
+def _random_span(rng, ncols, rank, nvecs, order):
+    # nvecs vectors spanning a space of dimension rank (or less), with
+    # entries at the given order, some of them zero
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if order == 1:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        return sum((rng.randint(-3, 3) * CyclotomicNumber.root(order, a)
+                    for a in range(order)), CyclotomicNumber.zero(order))
+    basis = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    vecs = []
+    for _ in range(nvecs):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        vecs.append([sum((c * b[j] for c, b in zip(coeffs, basis)), 0)
+                     for j in range(ncols)])
+    return vecs
+
+
+def test_from_span_matches_kernel_then_equations():
+    # the one column-reversed RREF gives the same canonical equations as
+    # the kernel of the vectors put through Flat.from_equations
+    rng = random.Random(61)
+    checked = 0
+    for order in (1, 1, 3, 4, 5):
+        for ncols in range(2, 6):
+            for rank in range(1, ncols + 1):
+                for nvecs in (rank, rank + 1, rank + 2):
+                    vecs = _random_span(rng, ncols, rank, nvecs, order)
+                    field = common_order(v for vec in vecs for v in vec)
+                    forms = kernel_of_rows(vecs, ncols, field)
+                    if not forms:
+                        with pytest.raises(ValueError, match="whole space"):
+                            Flat.from_span(vecs)
+                        continue
+                    if len(forms) == ncols:
+                        with pytest.raises(ValueError, match="all zero"):
+                            Flat.from_span(vecs)
+                        continue
+                    got = Flat.from_span(vecs)
+                    want = Flat.from_equations(forms)
+                    assert got.equations == want.equations
+                    assert got.order == want.order and got.dim == want.dim
+                    checked += 1
+    assert checked > 100
+    with pytest.raises(ValueError, match="all zero"):
+        Flat.from_span([(0, 0, 0), (0, Fraction(0), CyclotomicNumber.zero(3))])
+    with pytest.raises(ValueError, match="whole space"):
+        Flat.from_span([(1, 0, 0), (0, 1, 0), (1, 1, CyclotomicNumber.root(3))])
+    with pytest.raises(ValueError, match="at least one vector"):
+        Flat.from_span([])
+
+
+def test_flat_budget_counts_rows_columns_and_phi(monkeypatch):
+    # A(3,3,2): 9 lines and 9 dual points, one row of 3 columns each, phi 1;
+    # their points add 2 rows for each of the C(9, 2) meets
+    assert FLAT_BUDGET == 10**8
+    monkeypatch.setattr(arrange, "FLAT_BUDGET", 54)
+    assert len(parse_spec("A(3,3,2)")) == 9
+    monkeypatch.setattr(arrange, "FLAT_BUDGET", 53)
+    with pytest.raises(BudgetError, match="FLAT_BUDGET = 53"):
+        parse_spec("A(3,3,2)")
+    monkeypatch.setattr(arrange, "FLAT_BUDGET", (18 + 2 * 36) * 3)
+    assert len(derived_flats(parse_spec("A(3,3,2)", 0), 0, 2)) == 13
+    monkeypatch.setattr(arrange, "FLAT_BUDGET", (18 + 2 * 36) * 3 - 1)
+    with pytest.raises(BudgetError, match="down to its 0-flats"):
+        parse_spec("A(3,3,2)", 0)
+    # A(4,1,3) in P^3: 19 planes, phi(3)^2 = 4 rational entries per entry;
+    # lines add 2 rows per C(19, 2) meets, and points 3 per C(19, 3)
+    size = (38 + 2 * 171 + 3 * 969) * 4 * 4
+    monkeypatch.setattr(arrange, "FLAT_BUDGET", size)
+    parse_spec("A(4,1,3)", 0)
+    monkeypatch.setattr(arrange, "FLAT_BUDGET", size - 1)
+    with pytest.raises(BudgetError, match="phi\\(3\\)"):
+        parse_spec("A(4,1,3)", 0)
+    with pytest.raises(ValueError, match="flat dimension must lie in"):
+        parse_spec("A(4,1,3)", 3)

@@ -125,6 +125,42 @@ def test_matrix_budget_refusal_exits_1(capsys, monkeypatch):
         assert "MATRIX_BUDGET" in err and "computation failed" not in err
 
 
+def test_trials_over_the_matrix_budget_exit_1(capsys, monkeypatch):
+    # 10**8 trials of 15 rows x 15 columns: refused before the first draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial was run")
+    monkeypatch.setattr(fermatarr.interp, "random_flat", no_draw)
+    for argv in (("unexpected", "--config-id", "B3_DUAL", "--degree", "4",
+                  "--mult", "0,3", "--trials", "100000000"),
+                 ("verify-formula", "--config-id", "B3",
+                  "--trials", "100000000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "100000000 trials x 15 rows" in err
+        assert "MATRIX_BUDGET" in err and "computation failed" not in err
+
+
+def test_flat_budget_refusal_exits_1(capsys, monkeypatch):
+    def no_flat(*args):
+        raise AssertionError("a flat was built")
+    for name in ("from_equations", "from_span"):
+        monkeypatch.setattr(fermatarr.arrange.Flat, name, staticmethod(no_flat))
+    for argv in (("dimension", "--config-id", "MULT4_POINTS(3000)",
+                  "--degree", "2"),
+                 ("dimension", "--config-id", "FERMAT_DUAL(3000000,0)",
+                  "--degree", "2"),
+                 ("unexpected", "--config-id", "MULT4_POINTS(100)",
+                  "--degree", "2", "--mult", "0,1"),
+                 ("arrangement", "--spec", "A(3,0,10000000)"),
+                 ("dual", "--spec", "A(3,0,10000000)"),
+                 ("derived", "--spec", "A(4,0,1000)", "--flat-dim", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "FLAT_BUDGET" in err and "computation failed" not in err
+
+
 def test_missing_scheme_file_exits_1(capsys):
     code, _, err = run(capsys, "dimension", "--scheme", "/no/such/file",
                        "--degree", "4")

@@ -38,6 +38,18 @@ def test_cyclotomic_polynomial_matches_sympy():
         assert list(ours) == [int(c) for c in reversed(theirs)]
 
 
+def test_euler_phi_is_the_degree_of_phi_n():
+    # trial division gives the degree of Phi_n without building it, also
+    # for orders whose Phi_n would take long to build
+    for n in range(1, 121):
+        assert euler_phi(n) == len(cyclotomic_polynomial(n)) - 1
+        assert euler_phi(n) == sympy.totient(n)
+    for n in (3_000_000, 2**31 - 1, 10**12):
+        assert euler_phi(n) == sympy.totient(n)
+    with pytest.raises(ValueError):
+        euler_phi(0)
+
+
 def test_power_table_reduces_root_powers():
     for n in ORDERS:
         tab = power_table(n)

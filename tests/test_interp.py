@@ -186,6 +186,19 @@ def test_budget_counts_rows_columns_phi_and_template(monkeypatch):
         check_budget(M3, 4)
 
 
+def test_trials_count_against_the_budget(monkeypatch):
+    # each trial is one matrix of 15 rows x 15 columns, refused before any
+    # row is built or any flat drawn
+    monkeypatch.setattr(interp, "component_rows", _no_rows)
+    monkeypatch.setattr(interp, "random_flat", _no_rows)
+    with pytest.raises(BudgetError, match="100000000 trials x 15 rows x 15 col"):
+        decide_unexpected(B3, [(0, 3)], 4, trials=10**8)
+    monkeypatch.setattr(interp, "MATRIX_BUDGET", 4 * 225)
+    check_budget(B3, 4, 6, trials=4)
+    with pytest.raises(BudgetError, match="5 trials x 15 rows"):
+        check_budget(B3, 4, 6, trials=5)
+
+
 def test_random_flat_shapes():
     rng = random.Random(3)
     for _ in range(5):

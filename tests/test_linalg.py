@@ -4,12 +4,11 @@ independent rational blow-up oracle (tests/helpers.py)."""
 import random
 from fractions import Fraction
 
-from helpers import field_rank_oracle, field_rref_oracle
+from helpers import field_rank_oracle, field_rref_oracle, kernel_of_rows
 
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.linalg import (
     Eliminator,
-    kernel_of_rows,
     rank_of_field_rows,
     row_dot,
     rref,

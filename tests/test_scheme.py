@@ -6,6 +6,7 @@ import random
 import pytest
 from helpers import chart_rows, field_rank_oracle, general_point_count
 
+from fermatarr import linalg
 from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.interp import (ConditionMatrix, hilbert_function, random_flat,
@@ -244,7 +245,9 @@ def test_component_rows_are_independent_and_span_the_chart_rows():
 def test_component_rows_values_are_pinned():
     # rank and span leave the rows themselves free; this pins their values,
     # up to the primitive scaling linalg applies anyway, on random rational
-    # flats up to P^4, two LINES42 lines and three cyclotomic points
+    # flats up to P^4, two LINES42 lines and three cyclotomic points.  The
+    # digest reads the rows in graded order, the reverse of the order
+    # component_rows returns them in
     rng = random.Random(29)
     flats = [random_flat(rng, N, r, box=5) for N in range(1, 5) for r in range(N)]
     flats += [fl for fl, _ in named_configuration("LINES42").scheme.components[:2]]
@@ -258,12 +261,54 @@ def test_component_rows_values_are_pinned():
         phi = euler_phi(flat.order)
         for m in range(1, 5):
             for d in range(7):
-                for row in component_rows(flat, m, d):
+                for row in reversed(component_rows(flat, m, d)):
                     image = _field_row_to_int(row, flat.order, phi)
                     digest.update(repr(image).encode())
                 digest.update(b";")
     assert digest.hexdigest() == \
         "8c2db4e5628133b63286077d26bd5590f07c2d6afe8cf9fd819a311e4036dd5b"
+
+
+def _lead(row):
+    return next(i for i, v in enumerate(row) if v)
+
+
+def test_point_rows_have_strictly_descending_leads(monkeypatch):
+    # so each row of a point brings a lead no accepted row has, and over Q
+    # the Eliminator takes it without applying a pivot
+    rng = random.Random(43)
+
+    def coordinate(order):
+        if rng.random() < 0.3:
+            return 0
+        if order == 1:
+            return rng.randint(-9, 9)
+        return sum((rng.randint(-2, 2) * CyclotomicNumber.root(order, a)
+                    for a in range(order)), CyclotomicNumber.zero(order))
+
+    points = []
+    while len(points) < 60:
+        order = rng.choice((1, 1, 3, 4, 5))
+        coords = [coordinate(order) for _ in range(rng.randint(2, 5))]
+        if any(coords) and (order == 1 or not all(
+                c == 0 or c.is_rational() for c in coords)):
+            points.append(Flat.from_point(ProjPoint(coords)))
+    points += [fl for fl, _ in
+               named_configuration("FERMAT_DUAL(5,3)").scheme.components[:10]]
+    for pt in points:
+        for m in range(1, 5):
+            for d in range(9):
+                leads = [_lead(row) for row in component_rows(pt, m, d)]
+                assert all(a > b for a, b in zip(leads, leads[1:])), (pt, m, d)
+
+    def no_apply(*args):
+        raise AssertionError("a pivot was applied")
+    monkeypatch.setattr(linalg, "_apply", no_apply)
+    for pt in points:
+        if pt.order == 1:
+            rows = component_rows(pt, 4, 8)
+            elim = Eliminator(len(graded_monomials(pt.ambient + 1, 8)), 1)
+            assert all(elim.add_field_row(row) for row in rows)
 
 
 def test_low_degree_components_kill_everything():
