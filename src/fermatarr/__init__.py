@@ -33,7 +33,7 @@ from .interp import (
     hilbert_function,
     system_dimension,
 )
-from .mpoly import MultiPoly, ProjPoint, parse_poly, parse_point
+from .mpoly import MultiPoly, format_point, parse_point, parse_poly
 from .scheme import (
     FatScheme,
     conditions_count,

@@ -6,7 +6,9 @@ dualizes arrangements to point sets, and closes arrangements under
 intersection to produce derived flats with containment bookkeeping.
 
 Flats are stored by their defining linear equations in reduced row echelon
-form, so equality and hashing are structural.
+form, so equality and hashing are structural.  A hyperplane is a flat of
+codimension 1 and a point one of dimension 0, whose coordinates are a
+plain tuple (Flat.point, Flat.from_point).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb, factorial
 
 from .cyclo import CyclotomicNumber, as_field, common_order, euler_phi
 from .linalg import kernel_of_rref, row_dot, rref
-from .mpoly import MultiPoly, ProjPoint
+from .mpoly import MultiPoly
 
 _ZERO = CyclotomicNumber.zero()
 _ONE = CyclotomicNumber.one()
@@ -274,8 +276,9 @@ def reflections_of(group) -> list:
 
 
 def dual_points(arr: Arrangement) -> list:
-    """The point of the dual space carried by each hyperplane's form."""
-    return [ProjPoint(h.equations[0]) for h in arr.hyperplanes]
+    """The point of the dual space carried by each hyperplane's form: its
+    RREF row, a coordinate tuple led by 1."""
+    return [h.equations[0] for h in arr.hyperplanes]
 
 
 class Flat:
@@ -342,8 +345,9 @@ class Flat:
                     _canonical=True)
 
     @staticmethod
-    def from_point(point: ProjPoint) -> "Flat":
-        return Flat.from_span([point.coords])
+    def from_point(coords) -> "Flat":
+        """The point with the given coordinates, a 0-dimensional flat."""
+        return Flat.from_span([coords])
 
     @property
     def ambient(self) -> int:
@@ -353,14 +357,12 @@ class Flat:
         """A canonical basis of the cone over the flat: dim+1 vectors."""
         return kernel_of_rref(self.equations, self.ambient + 1, self.order)
 
-    def point(self) -> ProjPoint:
+    def point(self) -> tuple:
+        """The coordinates of a point, its span basis vector: the last
+        nonzero one is 1."""
         if self.dim != 0:
             raise ValueError("only 0-dimensional flats are points")
-        return ProjPoint(self.span_basis()[0])
-
-    def contains_point(self, point: ProjPoint) -> bool:
-        return all(row_dot(row, point.coords).is_zero()
-                   for row in self.equations)
+        return self.span_basis()[0]
 
     def contains_flat(self, other: "Flat") -> bool:
         return all(row_dot(row, vec).is_zero()
@@ -395,9 +397,7 @@ class Flat:
 
 def containing_hyperplanes(arr: Arrangement, fl: Flat) -> list:
     """Arrangement hyperplanes whose form vanishes on the whole flat."""
-    basis = fl.span_basis()
-    return [h for h in arr.hyperplanes
-            if all(row_dot(h.equations[0], vec).is_zero() for vec in basis)]
+    return [h for h in arr.hyperplanes if h.contains_flat(fl)]
 
 
 def lattice_membership(arr: Arrangement, fl: Flat):

@@ -19,6 +19,7 @@ from .arrange import derived_flats, dual_points, format_spec, parse_spec
 from .formulas import build_formula, verify_family
 from .interp import (BudgetError, decide_unexpected, hilbert_function,
                      system_dimension)
+from .mpoly import format_point
 from .render import (DEFAULT_GRID, DEFAULT_VIEWPORT, real_line_coefficients,
                      render_svg)
 from .scheme import (format_component, named_configuration, parse_scheme,
@@ -203,7 +204,7 @@ def cmd_arrangement(args):
 
 def cmd_dual(args):
     arr = _arrangement(args.spec)
-    pts = [str(p) for p in dual_points(arr)]
+    pts = [format_point(p) for p in dual_points(arr)]
     params = {"spec": format_spec(arr)}
     result = {"point_count": len(pts), "points": pts}
     text = [f"dual points of {params['spec']}: {len(pts)}"]

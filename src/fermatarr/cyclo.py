@@ -70,6 +70,23 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+# The bound on the ints in power_table(n), max(n, 2*phi(n)-1) * phi(n), for
+# an order read from text (parse_poly's e(n) literals).  It is the sibling
+# of arrange.FLAT_BUDGET, under which an arrangement's table holds fewer
+# than 2*10**5 ints.
+ROOT_TABLE_BUDGET = 10**7
+
+
+def check_root_order(n: int) -> None:
+    """Refuse an order n whose power table would hold more than
+    ROOT_TABLE_BUDGET ints; the size is counted, not built."""
+    # phi(n) >= 1, so a huge n is refused before phi(n) is factored
+    if (n > ROOT_TABLE_BUDGET
+            or max(n, 2 * euler_phi(n) - 1) * euler_phi(n) > ROOT_TABLE_BUDGET):
+        raise ValueError(f"e({n}) needs a power table of more than the root "
+                         f"table budget ROOT_TABLE_BUDGET = {ROOT_TABLE_BUDGET} ints")
+
+
 @lru_cache(maxsize=None)
 def power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Canonical coefficient vectors of e_n^k for 0 <= k < max(n, 2*phi(n)-1).

@@ -18,11 +18,11 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .arrange import Flat, parse_id
+from .arrange import Flat, check_flat_budget, parse_id
 from .cyclo import as_field, common_order
 from .interp import ConditionMatrix, UnexpectednessReport, decide_unexpected
 from .linalg import row_dot
-from .mpoly import MultiPoly, ProjPoint, graded_monomials
+from .mpoly import MultiPoly, graded_monomials
 from .scheme import NamedConfig, component_rows, named_configuration
 
 
@@ -126,10 +126,14 @@ def fermat_family_curve(m: int) -> BuiltFormula:
 
     One parametric family covering every admissible arrangement order; it
     is written independently of the three fixed-order builders above so
-    the two transcriptions cross-check each other.
+    the two transcriptions cross-check each other.  An m whose
+    configuration, the dual of A(3, k_min, m), is over FLAT_BUDGET is
+    refused before any polynomial is built.
     """
     if m < 2:
         raise ValueError("family needs m >= 2")
+    k_min = max(0, 5 - m)
+    check_flat_budget(2, m, k_min - 1)
     a, b, c, x0, x1, x2 = _ring(6)
     if m % 2 == 0:
         # Each orbit line carries its own point coordinate (a, b, c in
@@ -168,7 +172,6 @@ def fermat_family_curve(m: int) -> BuiltFormula:
             a**h * b**h * x0**h * x1**h * x2
             + b**h * c**h * x0 * x1**h * x2**h
             + a**h * c**h * x0**h * x1 * x2**h)
-    k_min = max(0, 5 - m)
     return BuiltFormula(f"GEN({m})", f"FERMAT_DUAL({m},{k_min})",
                         ("a", "b", "c"), ("x0", "x1", "x2"),
                         degree=m + 2, multiplicity=m + 1, poly=q)
@@ -202,9 +205,12 @@ def mult4_weights(n: int) -> tuple[int, int, int]:
 
 def mult4_curve(n: int) -> BuiltFormula:
     """Degree n+2 curve with a 4-fold general point for the n^2+3 points
-    derived from the order-n arrangement without coordinate lines, n >= 3."""
+    derived from the order-n arrangement without coordinate lines, n >= 3.
+    An n whose descent to those points is over FLAT_BUDGET is refused
+    before any polynomial is built."""
     if n < 3:
         raise ValueError("family needs n >= 3")
+    check_flat_budget(2, n, -1, 0)
     u, v, w = mult4_weights(n)
     a, b, c, x, y, z = _ring(6)
     q = (-(c * x * y) * ((u * b**n + v * c**n) * (z**n - x**n)
@@ -253,7 +259,7 @@ def symbolic_vanishing_on_Z(form: BuiltFormula,
     cfg = config if config is not None else named_configuration(form.config_id)
     np_ = form.npoint
     for pt in cfg.scheme.points():
-        assign = {np_ + i: v for i, v in enumerate(pt.coords)}
+        assign = {np_ + i: v for i, v in enumerate(pt)}
         if not form.poly.partial_evaluate(assign).is_zero():
             return False
     return True
@@ -404,7 +410,7 @@ def specialized_kernel_membership(form: BuiltFormula,
         return False
     mat = ConditionMatrix.from_scheme(cfg.scheme, d)
     rows = list(mat.rows)
-    pt = Flat.from_point(ProjPoint(coords))
+    pt = Flat.from_point(coords)
     rows.extend(component_rows(pt, form.multiplicity, d))
     vec = spec.coeff_vector(graded_monomials(form.ncoord, d))
     return all(row_dot(row, vec).is_zero() for row in rows)

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over Q(e_n) and projective points.
+"""Sparse multivariate polynomials over Q(e_n), and the text of points.
 
 Terms are a dict from exponent tuple to nonzero coefficient; the zero
 polynomial is the empty dict.  A polynomial's field is the field of its
@@ -10,6 +10,8 @@ products of rational literals, e(n) root literals and variables, with ^
 for powers (a scalar's str is the same language); parse_poly reads it
 back under the variable names it is given, with Python's own parser and
 a walk that accepts only those nodes.  A polynomial carries no names.
+A point's coordinates are a plain tuple (a point is a 0-dimensional
+arrange.Flat); format_point writes them and parse_point reads them back.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CyclotomicNumber, as_field, common_order
+from .cyclo import CyclotomicNumber, as_field, check_root_order, common_order
 
 Coeff = CyclotomicNumber
 _ZERO = CyclotomicNumber.zero()
@@ -326,51 +328,6 @@ def _format_term(c: Coeff, mono: str) -> str:
     return f"{wrapped}*{mono}" if mono else wrapped
 
 
-class ProjPoint:
-    """A point of projective space with exact cyclotomic coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords) -> None:
-        cs = list(coords)
-        order = common_order(cs)
-        cs = [as_field(c, order) for c in cs]
-        if not any(cs):
-            raise ValueError("projective point needs a nonzero coordinate")
-        object.__setattr__(self, "coords", tuple(cs))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ProjPoint is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.coords[0].order
-
-    def normalized(self) -> "ProjPoint":
-        """Scale so the first nonzero coordinate is 1."""
-        for c in self.coords:
-            if c:
-                inv = c.inverse()
-                return ProjPoint([x * inv for x in self.coords])
-        raise AssertionError("unreachable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        if len(self.coords) != len(other.coords):
-            return False
-        return self.normalized().coords == other.normalized().coords
-
-    def __hash__(self):
-        return hash(self.normalized().coords)
-
-    def __str__(self):
-        return "(" + " : ".join(str(c) for c in self.coords) + ")"
-
-    def __repr__(self):
-        return f"ProjPoint{self}"
-
-
 # -- parser --------------------------------------------------------------
 
 _TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)")
@@ -385,7 +342,8 @@ def parse_poly(text: str, names) -> MultiPoly:
     walk accepts only sums, differences and products, unary - and +,
     division by nonzero constants, powers with an int exponent (negative
     only on nonzero constants), ints, the placeholders and e(n) root
-    literals.  Nothing is evaluated by Python.
+    literals, refused by check_root_order where the table of e(n)'s powers
+    would be too large.  Nothing is evaluated by Python.
     """
     names = tuple(names)
     index = {nm: i for i, nm in enumerate(names)}
@@ -424,6 +382,7 @@ def parse_poly(text: str, names) -> MultiPoly:
                 return MultiPoly.variable(int(placeholder[1:]), nvars)
             case ast.Call(func=ast.Name(id="e"), args=[ast.Constant(value=int(n))],
                           keywords=[]):
+                check_root_order(n)
                 return MultiPoly.constant(CyclotomicNumber.root(n), nvars)
             case ast.UnaryOp(op=ast.USub(), operand=a):
                 return -read(a)
@@ -455,14 +414,20 @@ def parse_poly(text: str, names) -> MultiPoly:
         raise ValueError(f"cannot read polynomial {text!r}") from None
 
 
-def parse_point(text: str) -> ProjPoint:
-    """Parse '(c0 : c1 : ...)' with rational and e(n)^k coordinate literals."""
+def format_point(coords) -> str:
+    """The text '(c0 : c1 : ...)' of a point's coordinates, each written at
+    their common_order; parse_point reads it back."""
+    order = common_order(coords)
+    return "(" + " : ".join(str(as_field(c, order)) for c in coords) + ")"
+
+
+def parse_point(text: str) -> tuple:
+    """Read '(c0 : c1 : ...)' with rational and e(n)^k coordinate literals
+    into a tuple of CyclotomicNumbers at their common_order."""
     t = text.strip()
     if not (t.startswith("(") and t.endswith(")")):
         raise ValueError(f"not a point literal: {text!r}")
-    parts = t[1:-1].split(":")
-    coords = []
-    for p in parts:
-        poly = parse_poly(p.strip() or "0", ())
-        coords.append(poly.terms.get((), _ZERO))
-    return ProjPoint(coords)
+    coords = [parse_poly(p.strip() or "0", ()).terms.get((), _ZERO)
+              for p in t[1:-1].split(":")]
+    order = common_order(coords)
+    return tuple(as_field(c, order) for c in coords)

@@ -29,7 +29,7 @@ from .arrange import (Flat, check_flat_budget, derived_flats, dual_points,
                       fermat_arrangement, parse_id)
 from .cyclo import CyclotomicNumber, euler_phi
 from .linalg import _field_row_to_int
-from .mpoly import (MultiPoly, ProjPoint, default_names, graded_monomials,
+from .mpoly import (MultiPoly, default_names, format_point, graded_monomials,
                     parse_point, parse_poly)
 
 _ZERO = CyclotomicNumber.zero()
@@ -60,7 +60,7 @@ class FatScheme:
         return len(self.components)
 
     def points(self):
-        """The 0-dimensional components as projective points."""
+        """The coordinate tuples of the 0-dimensional components."""
         return [fl.point() for fl, _ in self.components if fl.dim == 0]
 
     def __repr__(self):
@@ -82,7 +82,7 @@ def _add_component(comps: dict, ambient: int, flat: Flat, mult: int) -> None:
 def format_component(flat: Flat) -> str:
     """A component without its multiplicity: point (...) or flat { eq: ... }."""
     if flat.dim == 0:
-        return f"point {flat.point()}"
+        return f"point {format_point(flat.point())}"
     eqs = ", ".join(str(p) for p in flat.equation_polys())
     return f"flat {{ eq: {eqs} }}"
 
@@ -131,7 +131,7 @@ def parse_scheme(text: str) -> FatScheme:
             if body.startswith("point"):
                 pt = parse_point(body[len("point"):].strip())
                 if ambient is None:
-                    ambient = len(pt.coords) - 1
+                    ambient = len(pt) - 1
                 flat = Flat.from_point(pt)
             elif body.startswith("flat"):
                 if ambient is None:
@@ -451,9 +451,9 @@ def _unit_points(N: int) -> list:
     """The N+1 coordinate points of P^N and the 3^N points
     (1 : e(3)^a1 : ... : e(3)^aN)."""
     powers = [CyclotomicNumber.root(3) ** a for a in range(3)]
-    points = [ProjPoint(tuple(_ONE if j == i else _ZERO for j in range(N + 1)))
+    points = [tuple(_ONE if j == i else _ZERO for j in range(N + 1))
               for i in range(N + 1)]
-    points += [ProjPoint((_ONE,) + tuple(powers[a] for a in expo))
+    points += [(_ONE,) + tuple(powers[a] for a in expo)
                for expo in itertools.product(range(3), repeat=N)]
     return points
 
@@ -469,7 +469,7 @@ def _bmss() -> FatScheme:
     points of P^3, the scheme keeps those on which they all vanish."""
     gens = _parse_generators(_GENERATORS["BMSS_P3"], 4)
     return _points_scheme([p for p in _unit_points(3)
-                           if all(g.evaluate(p.coords).is_zero() for g in gens)], 3)
+                           if all(g.evaluate(p).is_zero() for g in gens)], 3)
 
 
 def _mult4_points(n: int) -> FatScheme:

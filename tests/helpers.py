@@ -21,6 +21,9 @@ Flat.from_equations of it is the two-RREF route to a span's equations.
 The derived-flats oracle is the all-pairs descent: every flat meets every
 hyperplane that does not contain it, so each meet of a flat with a
 hyperplane is made from both sides.
+
+catalogue_points lists the coordinates of 389 catalogue points, rational
+and cyclotomic at orders 3, 6, 7 and 12, for the text round trips.
 """
 
 from fractions import Fraction
@@ -30,6 +33,7 @@ from fermatarr.arrange import Flat
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.linalg import kernel_of_rref, rref
 from fermatarr.mpoly import MultiPoly, graded_monomials
+from fermatarr.scheme import named_configuration
 
 
 def regular_block(value: CyclotomicNumber):
@@ -157,3 +161,9 @@ def all_pairs_derived_counts(arr, t: int) -> dict:
                     nxt.setdefault(below, set()).update(on, (i,))
         current = nxt
     return {fl: len(on) for fl, on in current.items()}
+
+
+def catalogue_points() -> list:
+    return [fl.point() for cid in ("B3_DUAL", "FERMAT_DUAL(7,3)", "FERMAT_DUAL(12,1)",
+                                   "BMSS_P3", "MULT4_POINTS(6)", "P5_MULTI")
+            for fl, _ in named_configuration(cid).scheme.components]

@@ -26,7 +26,7 @@ from fermatarr.arrange import (
 )
 from fermatarr.cyclo import CyclotomicNumber, common_order
 from fermatarr.formulas import equal_up_to_scalar
-from fermatarr.mpoly import ProjPoint, parse_point, parse_poly
+from fermatarr.mpoly import parse_point, parse_poly
 from fermatarr.scheme import format_component
 
 
@@ -100,18 +100,18 @@ def test_defining_polynomial_is_fermat_product():
 
 def test_dual_points_match_b3_table():
     arr = fermat_arrangement(2, 2, 2)
-    got = {p.normalized() for p in dual_points(arr)}
+    got = set(dual_points(arr))
     table = ["(1:0:0)", "(0:1:0)", "(0:0:1)",
              "(1:1:0)", "(1:-1:0)", "(1:0:1)",
              "(1:0:-1)", "(0:1:1)", "(0:1:-1)"]
-    want = {parse_point(s).normalized() for s in table}
+    want = {parse_point(s) for s in table}
     assert got == want
 
 
 def test_duality_is_an_involution():
     arr = fermat_arrangement(2, 3, 1)
     for p, h in zip(dual_points(arr), arr.hyperplanes):
-        assert Flat.from_equations([p.coords]) == h
+        assert Flat.from_equations([p]) == h
 
 
 def test_derived_lines_of_the_space_arrangement():
@@ -169,7 +169,7 @@ def test_flat_meet_and_containment():
     meet = Flat.from_equations(h1.equations + h2.equations)
     assert meet.dim == 1
     assert h1.contains_flat(meet)
-    assert meet.contains_point(parse_point("(0:0:1:5)"))
+    assert meet.contains_flat(Flat.from_point(parse_point("(0:0:1:5)")))
     # meeting with a disjoint flat of complementary dimension is empty
     other = Flat.from_span([(1, 0, 0, 0), (0, 1, 0, 0)])
     with pytest.raises(ValueError, match="no projective solutions"):
@@ -183,14 +183,15 @@ def test_flat_span_equation_round_trip():
     rebuilt = Flat.from_span(basis)
     assert rebuilt == fl
     for vec in basis:
-        assert fl.contains_point(ProjPoint(vec))
+        assert fl.contains_flat(Flat.from_point(vec))
 
 
 def test_point_flat_round_trip():
-    p = parse_point("(2:-1:4)").normalized()
-    fl = Flat.from_point(p)
+    fl = Flat.from_point(parse_point("(2:-1:4)"))
     assert fl.dim == 0
-    assert fl.point() == p
+    # the coordinates are the span basis vector: the last nonzero one is 1
+    assert fl.point() == parse_point("(1/2 : -1/4 : 1)")
+    assert Flat.from_point(fl.point()) == fl
 
 
 def test_spec_string_round_trip():
@@ -217,8 +218,8 @@ def test_hyperplane_normalization_and_equality():
     b = Flat.from_equations([(1, -1, 0)])
     assert a == b
     assert a.equations[0] == (1, -1, 0)
-    assert a.contains_point(parse_point("(1:1:9)"))
-    assert not a.contains_point(parse_point("(1:0:0)"))
+    assert a.contains_flat(Flat.from_point(parse_point("(1:1:9)")))
+    assert not a.contains_flat(Flat.from_point(parse_point("(1:0:0)")))
 
 
 def test_rational_flats_store_their_entries_at_order_one():

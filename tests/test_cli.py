@@ -161,6 +161,33 @@ def test_flat_budget_refusal_exits_1(capsys, monkeypatch):
         assert "FLAT_BUDGET" in err and "computation failed" not in err
 
 
+def test_closed_form_over_the_flat_budget_exits_1(capsys, monkeypatch):
+    # GEN(m) and MULT4(n) count their configurations before any polynomial
+    def no_ring(*args):
+        raise AssertionError("a polynomial was built")
+    monkeypatch.setattr(fermatarr.formulas, "_ring", no_ring)
+    for family in ("GEN(1000000)", "MULT4(1000000)"):
+        for argv in (("verify-formula", "--config-id", family),
+                     ("render", "--config-id", family, "--point", "1,2,3")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "FLAT_BUDGET" in err and "computation failed" not in err
+
+
+def test_root_literal_over_the_table_budget_exits_1(tmp_path, capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a power table was built")
+    monkeypatch.setattr(fermatarr.cyclo, "power_table", no_table)
+    path = tmp_path / "huge_root.scheme"
+    path.write_text("ambient 2\npoint (1 : e(2000000) : 0) mult 1\n")
+    code, out, err = run(capsys, "dimension", "--scheme", str(path),
+                         "--degree", "1")
+    assert code == 1
+    assert out == ""
+    assert "scheme line 2: e(2000000)" in err and "ROOT_TABLE_BUDGET" in err
+
+
 def test_missing_scheme_file_exits_1(capsys):
     code, _, err = run(capsys, "dimension", "--scheme", "/no/such/file",
                        "--degree", "4")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from helpers import catalogue_points
 
 from fermatarr.cyclo import (
     CyclotomicNumber,
@@ -13,8 +14,7 @@ from fermatarr.cyclo import (
     euler_phi,
     power_table,
 )
-from fermatarr.arrange import Flat
-from fermatarr.mpoly import parse_point, parse_poly
+from fermatarr.mpoly import parse_poly
 from fermatarr.scheme import named_configuration
 
 ORDERS = (1, 2, 3, 4, 5, 6)
@@ -275,13 +275,12 @@ def test_serialize_parse_round_trip_with_denominators():
 
 
 def test_str_parse_round_trip():
-    # parse_point reads back the str of every point of catalogue flats
-    points = [fl.point() for cid in ("B3_DUAL", "FERMAT_DUAL(7,3)", "FERMAT_DUAL(12,1)",
-                                     "BMSS_P3", "MULT4_POINTS(6)", "P5_MULTI")
-              for fl, _ in named_configuration(cid).scheme.components]
-    assert len(points) == 389
-    for p in points:
-        assert Flat.from_point(parse_point(str(p))) == Flat.from_point(p)
+    # parse_poly reads back the str of every coordinate of catalogue points
+    coords = [c for p in catalogue_points() for c in p]
+    assert {c.order for c in coords} == {1, 3, 6, 7, 12}
+    for c in coords:
+        back = parse_poly(str(c), ()).terms.get((), CyclotomicNumber.zero())
+        assert back == c and str(back.lift(c.order)) == str(c)
 
 
 def test_rational_values_hash_like_their_fraction():

@@ -17,7 +17,7 @@ from fermatarr.interp import (
     rank_kernel,
     system_dimension,
 )
-from fermatarr.mpoly import ProjPoint, graded_monomials, parse_point
+from fermatarr.mpoly import graded_monomials, parse_point
 from fermatarr.scheme import FatScheme, named_configuration
 
 B3 = named_configuration("B3_DUAL").scheme
@@ -65,7 +65,7 @@ def test_kernel_polys_vanish_on_scheme():
     for poly in kernel:
         assert poly.is_homogeneous() and poly.degree() == 4
         for p in M3.points():
-            assert poly.evaluate(p.coords).is_zero()
+            assert poly.evaluate(p).is_zero()
 
 
 def test_kernel_of_fat_point_has_vanishing_derivatives():
@@ -74,7 +74,7 @@ def test_kernel_of_fat_point_has_vanishing_derivatives():
     mat = ConditionMatrix.from_scheme(Z, 4)
     rank, kernel = rank_kernel(mat)
     assert rank == 6
-    coords = pt.point().coords
+    coords = pt.point()
     # rows encode only the top-order partials; Euler forces the rest
     for poly in kernel:
         for t in range(3):
@@ -93,7 +93,7 @@ def test_kernel_vanishes_on_positive_dimensional_flat():
     matrix = [[basis[t][i] for t in range(2)] for i in range(4)]
     for poly in kernel:
         assert poly.substitute_linear(matrix).is_zero()
-        assert poly.evaluate(pt.point().coords).is_zero()
+        assert poly.evaluate(pt.point()).is_zero()
 
 
 def test_frozen_lines42_dimensions():
@@ -134,7 +134,7 @@ def test_decide_unexpected_reports_alt_count_for_points():
 
 
 def test_generic_points_admit_no_unexpected_curve():
-    pts = [ProjPoint((1, t, t * t * t + t + 7)) for t in range(9)]
+    pts = [(1, t, t * t * t + t + 7) for t in range(9)]
     Z = FatScheme(2, [(Flat.from_point(p), 1) for p in pts])
     r = decide_unexpected(Z, [(0, 3)], 4, trials=2, seed=0)
     assert not r.unexpected

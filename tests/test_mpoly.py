@@ -8,11 +8,15 @@ import re
 from fractions import Fraction
 
 import pytest
+from helpers import catalogue_points
 
+from fermatarr import cyclo
+from fermatarr.arrange import Flat
+from fermatarr.cli import main
 from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.mpoly import (
     MultiPoly,
-    ProjPoint,
+    format_point,
     graded_monomials,
     parse_point,
     parse_poly,
@@ -309,17 +313,48 @@ def test_coeff_vector_requires_cover():
         p.coeff_vector(graded_monomials(2, 1))
 
 
-def test_proj_point_normalization_and_parse():
-    p = ProjPoint((Fraction(2), Fraction(4), Fraction(-2)))
-    assert p.normalized().coords[0] == CyclotomicNumber.one()
-    q = parse_point("(1 : 2 : -1)")
-    assert p.normalized() == q.normalized()
-    assert parse_point(str(q)) == q
+def test_format_point_parse_point_round_trip():
+    points = catalogue_points()
+    assert len(points) == 389
+    for p in points:
+        text = format_point(p)
+        back = parse_point(text)
+        assert back == p
+        assert format_point(back) == text
+    # coordinates are written at their common order, whatever each stores
+    mixed = (1, CyclotomicNumber.root(3), CyclotomicNumber.root(4), Fraction(-1, 2))
+    assert format_point(mixed) == "(1 : -1 + e(12)^2 : e(12)^3 : -1/2)"
+    assert parse_point(format_point(mixed)) == mixed
 
 
-def test_proj_point_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        ProjPoint((0, 0, 0))
+def test_zero_point_in_a_scheme_file_exits_1(tmp_path, capsys):
+    # the zero vector reads as a tuple and is refused where it becomes a Flat
+    assert parse_point("(0 : 0 : 0)") == (0, 0, 0)
+    with pytest.raises(ValueError, match="all zero"):
+        Flat.from_point((0, 0, 0))
+    path = tmp_path / "zero.scheme"
+    path.write_text("ambient 2\npoint (0 : 0 : 0) mult 1\n")
+    assert main(["dimension", "--scheme", str(path), "--degree", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scheme line 2: vectors are all zero" in captured.err
+
+
+def test_root_literals_over_the_table_budget_are_refused(monkeypatch):
+    # power_table(7) holds max(7, 2*6 - 1) * 6 = 66 ints
+    monkeypatch.setattr(cyclo, "ROOT_TABLE_BUDGET", 66)
+    assert parse_poly("e(7)", ()).terms[()] == CyclotomicNumber.root(7)
+    monkeypatch.setattr(cyclo, "ROOT_TABLE_BUDGET", 65)
+    with pytest.raises(ValueError, match="ROOT_TABLE_BUDGET = 65"):
+        parse_poly("e(7)", ())
+    monkeypatch.undo()
+
+    def no_table(*args):
+        raise AssertionError("a power table was built")
+    monkeypatch.setattr(cyclo, "power_table", no_table)
+    for order in (200000, 10**30):
+        with pytest.raises(ValueError, match="ROOT_TABLE_BUDGET"):
+            parse_poly(f"x0 + e({order})*x1", ("x0", "x1"))
 
 
 def test_pow_matches_repeated_multiplication():
