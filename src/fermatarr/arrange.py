@@ -288,10 +288,10 @@ class Flat:
     covector (c0, ..., cN) annihilating the flat.  dim is the projective
     dimension: N - len(equations).  order is the common_order of the
     equations, 1 for a flat defined over Q, and every entry is stored at
-    that order.
+    that order.  The span basis is computed once, on first use.
     """
 
-    __slots__ = ("equations", "dim", "order")
+    __slots__ = ("equations", "dim", "order", "_span")
 
     def __init__(self, equations, ambient: int, _canonical=False):
         if not _canonical:
@@ -301,6 +301,7 @@ class Flat:
                            tuple(tuple(v.lift(order) for v in row) for row in equations))
         object.__setattr__(self, "dim", ambient - len(equations))
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Flat is immutable")
@@ -355,7 +356,10 @@ class Flat:
 
     def span_basis(self):
         """A canonical basis of the cone over the flat: dim+1 vectors."""
-        return kernel_of_rref(self.equations, self.ambient + 1, self.order)
+        if self._span is None:
+            object.__setattr__(self, "_span", tuple(
+                kernel_of_rref(self.equations, self.ambient + 1, self.order)))
+        return self._span
 
     def point(self) -> tuple:
         """The coordinates of a point, its span basis vector: the last

@@ -170,6 +170,28 @@ class Eliminator:
         other._pivots = dict(self._pivots)
         return other
 
+    @classmethod
+    def join(cls, parts, ncols: int, order: int) -> "Eliminator":
+        """One Eliminator of width ncols holding the pivots of every part.
+
+        parts yields (eliminator, cols) pairs: an Eliminator over
+        Q(e_order) of width len(cols), fed with rows supported on the
+        ascending columns cols, which no two parts share.  Block-local
+        rational column l becomes cols[l // phi] * phi + l % phi.  The map
+        is increasing, so each pivot keeps its lead first and the leads
+        of all parts stay distinct: the pivots are a row echelon set, and
+        their span is the direct sum of the parts' spans.  The offset
+        within each phi-chunk is kept, so a lead that starts a chunk
+        still starts one, and reduced()'s lead % phi test still holds.
+        """
+        elim = cls(ncols, order)
+        phi, pivots = elim.phi, elim._pivots
+        for part, cols in parts:
+            where = [c * phi + r for c in cols for r in range(phi)]
+            for lead, (pcols, coeffs) in part._pivots.items():
+                pivots[where[lead]] = (tuple(where[c] for c in pcols), coeffs)
+        return elim
+
     @property
     def rank(self) -> int:
         return len(self._pivots) // self.phi

@@ -19,6 +19,7 @@ import ast
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .cyclo import CyclotomicNumber, as_field, check_root_order, common_order
 
@@ -332,6 +333,35 @@ def _format_term(c: Coeff, mono: str) -> str:
 
 _TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)")
 
+# The bound on a power p^k read from text, checked before it is computed:
+# the monomials p^k can have times the bits of one of its coefficients,
+# counted as phi * k * (the largest bit length among p's coefficients plus
+# that of p's term count).  A power within it holds a few megabytes at
+# most; 2^100000000 and (x0 + x1)^100000 are refused.  It is the sibling
+# of cyclo.ROOT_TABLE_BUDGET, the bound on the e(n) literals.
+POWER_BUDGET = 10**7
+
+
+def check_power(base: MultiPoly, k: int) -> None:
+    """Refuse base^k if its size, counted as for POWER_BUDGET, exceeds it;
+    the size is counted, not built.  p^k has at most the monomials of
+    degree k*deg(p), or of degree up to that when p is not homogeneous."""
+    if k < 2 or not base.terms:
+        return
+    coeffs = base.terms.values()
+    bits = max(v.bit_length() for c in coeffs for v in (*c.num, c.den))
+    phi = max(len(c.num) for c in coeffs)
+    size = phi * k * (bits + len(coeffs).bit_length())
+    if size <= POWER_BUDGET:  # so k is small enough to count the monomials
+        n, top = base.nvars, k * base.degree()
+        size *= (comb(n - 1 + top, top) if n and base.is_homogeneous()
+                 else comb(n + top, top))
+    if size > POWER_BUDGET:
+        raise ValueError(
+            f"the power ^{k} of a {len(coeffs)}-term polynomial is over the "
+            f"power budget POWER_BUDGET = {POWER_BUDGET} (monomials x phi x "
+            f"coefficient bits)")
+
 
 def parse_poly(text: str, names) -> MultiPoly:
     """Read polynomial text in the variables `names` into a MultiPoly.
@@ -343,7 +373,8 @@ def parse_poly(text: str, names) -> MultiPoly:
     division by nonzero constants, powers with an int exponent (negative
     only on nonzero constants), ints, the placeholders and e(n) root
     literals, refused by check_root_order where the table of e(n)'s powers
-    would be too large.  Nothing is evaluated by Python.
+    would be too large.  check_power refuses a power over POWER_BUDGET
+    before it is computed.  Nothing is evaluated by Python.
     """
     names = tuple(names)
     index = {nm: i for i, nm in enumerate(names)}
@@ -401,11 +432,15 @@ def parse_poly(text: str, names) -> MultiPoly:
             case ast.BinOp(left=a, op=ast.Div(), right=b):
                 return read(a) * constant_inverse(read(b), "division only by nonzero constants")
             case ast.BinOp(left=a, op=ast.Pow(), right=ast.Constant(value=int(k))):
-                return read(a) ** k
+                base = read(a)
+                check_power(base, k)
+                return base ** k
             case ast.BinOp(left=a, op=ast.Pow(),
                            right=ast.UnaryOp(op=ast.USub(), operand=ast.Constant(value=int(k)))):
-                inv = constant_inverse(read(a), "negative powers only on nonzero constants")
-                return MultiPoly.constant(inv ** k, nvars)
+                inv = MultiPoly.constant(constant_inverse(
+                    read(a), "negative powers only on nonzero constants"), nvars)
+                check_power(inv, k)
+                return inv ** k
         raise ValueError(f"cannot read polynomial {text!r}")
 
     try:

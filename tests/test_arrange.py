@@ -155,6 +155,27 @@ def test_lattice_membership_of_published_point():
     assert count == 6
 
 
+def test_span_basis_is_computed_once_per_flat(monkeypatch):
+    arr = fermat_arrangement(3, 3, 3)
+    flats = derived_flats(arr, 1, 2)[:5]
+    fresh = [Flat.from_equations(fl.equations) for fl in flats]
+    bases = [fl.span_basis() for fl in fresh]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    real = arrange.kernel_of_rref
+    monkeypatch.setattr(arrange, "kernel_of_rref", counted)
+    counts = [lattice_membership(arr, fl)[1] for fl in flats]
+    assert len(calls) == len(flats)  # one basis per flat, not per hyperplane
+    assert [len(containing_hyperplanes(arr, fl)) for fl in flats] == counts
+    assert len(calls) == len(flats)
+    # == and hash stay on the equations, with or without a basis kept
+    assert fresh == flats and list(map(hash, fresh)) == list(map(hash, flats))
+    assert [fl.span_basis() for fl in flats] == bases
+
+
 def test_lattice_membership_rejects_generic_point():
     arr = fermat_arrangement(2, 2, 2)
     fl = Flat.from_point(parse_point("(1:7:13)"))

@@ -6,6 +6,7 @@ import pytest
 
 from fermatarr import interp
 from fermatarr.arrange import Flat
+from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.interp import (
     BudgetError,
     ConditionMatrix,
@@ -17,6 +18,7 @@ from fermatarr.interp import (
     rank_kernel,
     system_dimension,
 )
+from fermatarr.linalg import Eliminator, eliminate
 from fermatarr.mpoly import graded_monomials, parse_point
 from fermatarr.scheme import FatScheme, named_configuration
 
@@ -209,3 +211,94 @@ def test_random_flat_shapes():
     tiny = random_flat(random.Random(0), 2, 0, box=1)
     assert tiny.dim == 0
     assert issubclass(DegenerateDrawError, RuntimeError)
+
+
+# (id, largest degree) of the catalogue schemes checked block by block
+BLOCK_CASES = ([("B3_DUAL", 5), ("BMSS_P3", 5), ("LINES42", 6), ("P5_MULTI", 3)]
+               + [(f"FERMAT_DUAL({m},{k})", m + 2)
+                  for m in range(1, 8) for k in range(4)]
+               + [(f"MULT4_POINTS({n})", n + 2) for n in range(3, 8)])
+
+
+def _unblocked(Z, d):
+    mat = ConditionMatrix.from_scheme(Z, d)
+    return eliminate(mat.rows, mat.ncols, mat.order)
+
+
+def _assert_blocks_match(Z, d_max, label):
+    ranks = []
+    for d in range(d_max + 1):
+        blocked, plain = interp._scheme_eliminator(Z, d), _unblocked(Z, d)
+        assert blocked.reduced() == plain.reduced(), (label, d)
+        assert blocked.kernel_basis() == plain.kernel_basis(), (label, d)
+        ranks.append(plain.rank)
+    assert hilbert_function(Z, d_max) == ranks, label
+
+
+def test_blocked_eliminator_matches_the_full_condition_matrix():
+    for cid, d_max in BLOCK_CASES:
+        _assert_blocks_match(named_configuration(cid).scheme, d_max, cid)
+
+
+def _most_moved(Z):
+    """The component with the most nonzero equation entries: for these
+    schemes, one that every generator moves."""
+    return max(Z.components,
+               key=lambda c: sum(map(bool, sum(c[0].equations, ()))))
+
+
+def test_broken_orbits_fall_back_and_agree():
+    for cid, d_max in BLOCK_CASES:
+        Z = named_configuration(cid).scheme
+        gens = interp._symmetry(Z)[0]
+        moved, mult = _most_moved(Z)
+        removed = FatScheme(Z.ambient, [c for c in Z.components
+                                        if c[0] != moved])
+        raised = FatScheme(Z.ambient, [(fl, m + (fl == moved))
+                                       for fl, m in Z.components])
+        for broken, how in ((removed, "removed"), (raised, "raised")):
+            found = interp._symmetry(broken)[0]
+            assert set(found) <= set(gens) and (not gens or found != gens)
+            _assert_blocks_match(broken, min(d_max - 1, 5), f"{cid} {how}")
+
+
+def test_symmetry_generators_and_orbits():
+    for m in range(3, 8):
+        for k in range(4):
+            gens, reps = interp._symmetry(
+                named_configuration(f"FERMAT_DUAL({m},{k})").scheme)
+            # one orbit of dual points per pair of coordinates, and the k
+            # points dual to the coordinate lines, each fixed
+            assert (gens, len(reps)) == ((1, 2), 3 + k)
+    for cid, gens, orbits in (("LINES42", (1, 2, 3), 10), ("B3_DUAL", (), 9),
+                              ("MULT4_POINTS(6)", (1, 2), 4)):
+        Z = named_configuration(cid).scheme
+        found, reps = interp._symmetry(Z)
+        assert (found, len(reps)) == (gens, orbits), cid
+
+
+def test_decisions_match_the_unblocked_engine(monkeypatch):
+    cases = (("B3_DUAL", [(0, 3)], 4), ("FERMAT_DUAL(5,2)", [(0, 6)], 7),
+             ("BMSS_P3", [(0, 3)], 4), ("LINES42", [(1, 1), (0, 2)], 9),
+             ("MULT4_POINTS(6)", [(0, 4)], 8))
+    blocked = [decide_unexpected(named_configuration(cid).scheme, t, d,
+                                 trials=2, seed=3) for cid, t, d in cases]
+    monkeypatch.setattr(interp, "_symmetry", lambda Z: ((), Z.components))
+    plain = [decide_unexpected(named_configuration(cid).scheme, t, d,
+                               trials=2, seed=3) for cid, t, d in cases]
+    assert blocked == plain
+
+
+def test_join_maps_block_columns_in_order():
+    # phi(5) = 4: block columns 1 and 3 of 4, and 0 and 2, each with a row
+    e = CyclotomicNumber.root(5)
+    odd, even = Eliminator(2, 5), Eliminator(2, 5)
+    odd.add_field_row((e, 2))
+    even.add_field_row((0, e + 1))
+    joined = Eliminator.join([(odd, [1, 3]), (even, [0, 2])], 4, 5)
+    full = eliminate([(0, e, 0, 2), (0, 0, e + 1, 0)], 4, 5)
+    assert joined.rank == full.rank == 2
+    assert joined.reduced() == full.reduced()
+    clone = joined.clone()
+    assert not clone.add_field_row((0, 3 * e, e * e + e, 6))
+    assert clone.add_field_row((1, 0, 0, 0)) and clone.rank == 3

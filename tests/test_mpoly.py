@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from helpers import catalogue_points
 
-from fermatarr import cyclo
+from fermatarr import cyclo, mpoly
 from fermatarr.arrange import Flat
 from fermatarr.cli import main
 from fermatarr.cyclo import CyclotomicNumber
@@ -355,6 +355,45 @@ def test_root_literals_over_the_table_budget_are_refused(monkeypatch):
     for order in (200000, 10**30):
         with pytest.raises(ValueError, match="ROOT_TABLE_BUDGET"):
             parse_poly(f"x0 + e({order})*x1", ("x0", "x1"))
+
+
+def _no_power(*args):
+    raise AssertionError("a power was computed")
+
+
+def test_powers_over_the_power_budget_are_refused(monkeypatch):
+    # 3^4: phi 1 x k 4 x (2 bits + 1 for one term) = 12, one monomial;
+    # (x0 + x1)^2: 1 x 2 x (1 + 2) = 6, times the 3 monomials of degree 2
+    monkeypatch.setattr(mpoly, "POWER_BUDGET", 18)
+    assert parse_poly("3^4 + (x0 + x1)^2", ("x0", "x1")) == parse_poly(
+        "81 + x0^2 + 2*x0*x1 + x1^2", ("x0", "x1"))
+    monkeypatch.setattr(mpoly, "POWER_BUDGET", 17)
+    with pytest.raises(ValueError, match="POWER_BUDGET = 17"):
+        parse_poly("(x0 + x1)^2", ("x0", "x1"))
+    # (x0 + 1)^2 is not homogeneous: counted over the 6 monomials up to degree 2
+    with pytest.raises(ValueError, match=r"the power \^2 of a 2-term"):
+        parse_poly("(x0 + 1)^2", ("x0", "x1"))
+    monkeypatch.undo()
+
+    monkeypatch.setattr(MultiPoly, "__pow__", _no_power)
+    monkeypatch.setattr(CyclotomicNumber, "__pow__", _no_power)
+    for text in ("2^100000000", "2^-100000000", "(x0 + x1)^100000",
+                 "x0^100000000", "e(3)^100000000", "(x0 - e(5)*x1)^2000"):
+        with pytest.raises(ValueError, match="POWER_BUDGET"):
+            parse_poly(text, ("x0", "x1"))
+
+
+def test_power_over_the_budget_in_a_scheme_file_exits_1(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(MultiPoly, "__pow__", _no_power)
+    for i, body in enumerate(("point (2^100000000 : 1 : 1)",
+                              "flat { eq: (x0 + x1)^100000 }")):
+        path = tmp_path / f"power{i}.scheme"
+        path.write_text(f"ambient 2\n{body} mult 1\n")
+        assert main(["dimension", "--scheme", str(path), "--degree", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"scheme line 2: the power .*POWER_BUDGET", captured.err)
 
 
 def test_pow_matches_repeated_multiplication():
