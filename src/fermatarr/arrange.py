@@ -209,10 +209,6 @@ class GroupElement:
         rows = [[row_dot(row, col) for col in cols] for row in self.matrix]
         return GroupElement(rows)
 
-    def apply(self, vector):
-        vec = tuple(vector)
-        return tuple(row_dot(row, vec) for row in self.matrix)
-
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
@@ -368,10 +364,6 @@ class Flat:
             raise ValueError("only 0-dimensional flats are points")
         return self.span_basis()[0]
 
-    def contains_flat(self, other: "Flat") -> bool:
-        return all(row_dot(row, vec).is_zero()
-                   for vec in other.span_basis() for row in self.equations)
-
     def equation_polys(self):
         nvars = self.ambient + 1
         polys = []
@@ -397,21 +389,6 @@ class Flat:
     def __repr__(self):
         eqs = "; ".join(str(p) for p in self.equation_polys())
         return f"Flat(dim={self.dim}, {eqs})"
-
-
-def containing_hyperplanes(arr: Arrangement, fl: Flat) -> list:
-    """Arrangement hyperplanes whose form vanishes on the whole flat."""
-    return [h for h in arr.hyperplanes if h.contains_flat(fl)]
-
-
-def lattice_membership(arr: Arrangement, fl: Flat):
-    """(member, containing_count): member iff the flat equals the meet of
-    all arrangement hyperplanes containing it."""
-    containing = containing_hyperplanes(arr, fl)
-    if not containing:
-        return False, 0
-    meet = Flat.from_equations([h.equations[0] for h in containing])
-    return meet == fl, len(containing)
 
 
 def derived_flats(arr: Arrangement, t: int, min_hyperplanes: int) -> list:

@@ -38,7 +38,7 @@ def _exact_div_int(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first, monic."""
     if n < 1:
@@ -52,7 +52,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def euler_phi(n: int) -> int:
     """The degree of Phi_n: n times 1 - 1/p for each prime p dividing n,
     found by trial division, so a size check need not build Phi_n."""
@@ -87,7 +87,7 @@ def check_root_order(n: int) -> None:
                          f"table budget ROOT_TABLE_BUDGET = {ROOT_TABLE_BUDGET} ints")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Canonical coefficient vectors of e_n^k for 0 <= k < max(n, 2*phi(n)-1).
 
@@ -109,7 +109,7 @@ def power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _primes(n: int) -> tuple[int, ...]:
     return tuple(p for p in range(2, n + 1)
                  if n % p == 0 and all(p % q for q in range(2, p)))
@@ -128,7 +128,7 @@ def _image(coeffs, n: int, k: int) -> list:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _subfield_solver(n: int, p: int):
     """Integer solve data (scale, solve) for membership in Q(e_(n/p)) in Q(e_n).
 

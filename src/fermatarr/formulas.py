@@ -255,10 +255,19 @@ def build_formula(family: str) -> BuiltFormula:
 def symbolic_vanishing_on_Z(form: BuiltFormula,
                             config: NamedConfig | None = None) -> bool:
     """Exact identity: substituting each configuration point into the
-    ambient coordinates leaves the zero polynomial in the point variables."""
+    ambient coordinates leaves the zero polynomial in the point variables.
+
+    Raises ValueError when the configuration is not a point set in the
+    form's ambient space, which this check would otherwise pass unread."""
     cfg = config if config is not None else named_configuration(form.config_id)
+    scheme = cfg.scheme
+    if scheme.ambient + 1 != form.ncoord:
+        raise ValueError(f"{cfg.id} lies in P^{scheme.ambient}, but {form.family} "
+                         f"has {form.ncoord} ambient coordinates")
+    if any(flat.dim for flat, _ in scheme.components):
+        raise ValueError(f"{cfg.id} has a component that is not a point")
     np_ = form.npoint
-    for pt in cfg.scheme.points():
+    for pt in scheme.points():
         assign = {np_ + i: v for i, v in enumerate(pt)}
         if not form.poly.partial_evaluate(assign).is_zero():
             return False
@@ -331,40 +340,12 @@ def symbolic_multiplicity_at_general(form: BuiltFormula) -> tuple[int, bool]:
     raise AssertionError("F(a + y) is zero for a nonzero F")
 
 
-def membership_in_fat_ideal(n: int = 3,
-                            form: BuiltFormula | None = None) -> bool:
+def membership_in_fat_ideal(n: int = 3) -> bool:
     """Derivative criterion for the multiplicity-4 family: the curve lies
     in the fourth power of the general point's ideal iff every ambient
     partial of order <= 3 vanishes at the point identically."""
-    if form is None:
-        form = mult4_curve(n)
-    attained, certified = symbolic_multiplicity_at_general(form)
+    attained, certified = symbolic_multiplicity_at_general(mult4_curve(n))
     return certified and attained >= 4
-
-
-def mult4_cofactor_reconciliation() -> str | None:
-    """Attempt to complete the cofactor presentation of c^4 times the
-    multiplicity-4 curve for n = 3, the only n with linear cofactors, over
-    the generators of the fourth ideal power.
-
-    One cofactor term, (2*a^3*c + c^4), arrives without an ambient
-    variable and is degree-deficient as given.  Each of x, y, z is
-    inserted in turn; returns the name that makes the identity exact, or
-    None when no single insertion does.
-    """
-    a, b, c, x, y, z = _ring(6)
-    f1 = c * x - a * z
-    f2 = c * y - b * z
-    g1, g2, g4, g5 = f2**4, f1 * f2**3, f1**3 * f2, f1**4
-    lhs = c**4 * mult4_curve(3).poly
-    for cand, name in ((x, "x"), (y, "y"), (z, "z")):
-        rhs = (((a**4 + 2 * a * c**3) * z - (2 * a**3 * c + c**4) * cand) * g1
-               + (6 * a**2 * b * c * x - (4 * a**3 * b + 2 * b * c**3) * z) * g2
-               + ((4 * a * b**3 + 2 * a * c**3) * z - 6 * a * b**2 * c * y) * g4
-               + ((2 * b**3 * c + c**4) * y - (b**4 + 2 * b * c**3) * z) * g5)
-        if rhs == lhs:
-            return name
-    return None
 
 
 def equal_up_to_scalar(p: MultiPoly, q: MultiPoly) -> bool:
@@ -396,13 +377,12 @@ def _random_point(rng: random.Random, arity: int) -> list[Fraction]:
 
 def specialized_kernel_membership(form: BuiltFormula,
                                   config: NamedConfig | None = None,
-                                  degree: int | None = None,
                                   seed: int = 0) -> bool:
     """Pin the general point to random rational coordinates and test that
     the specialized coefficient vector is annihilated by every condition
     row: the configuration's own rows plus the fat point's rows."""
     cfg = config if config is not None else named_configuration(form.config_id)
-    d = form.degree if degree is None else degree
+    d = form.degree
     rng = random.Random(seed)
     coords = _random_point(rng, form.npoint)
     spec = form.specialize(coords)
@@ -416,29 +396,7 @@ def specialized_kernel_membership(form: BuiltFormula,
     return all(row_dot(row, vec).is_zero() for row in rows)
 
 
-# -- family registry ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyRecord:
-    """Verification plan for one family: which configuration, which degree,
-    which general fat scheme the dimension count runs against, and the
-    built closed form (None for the existence-only P5 family)."""
-
-    family: str
-    config_id: str
-    degree: int
-    template: tuple[tuple[int, int], ...]
-    form: BuiltFormula | None
-
-
-def family_record(family: str) -> FamilyRecord:
-    head, params = parse_id(family, "family")
-    if head == "P5" and not params:
-        return FamilyRecord("P5", "P5_MULTI", 4, ((0, 3), (0, 2)), None)
-    form = build_formula(family)
-    return FamilyRecord(form.family, form.config_id, form.degree,
-                        ((0, form.multiplicity),), form)
-
+# -- family verification -----------------------------------------------------
 
 @dataclass(frozen=True)
 class FamilyReport:
@@ -462,13 +420,24 @@ class FamilyReport:
 
 
 def verify_family(family: str, trials: int = 2, seed: int = 0) -> FamilyReport:
-    """Run every applicable check for one family and collect the verdicts."""
-    rec = family_record(family)
-    cfg = named_configuration(rec.config_id)
+    """Run every applicable check for one family and collect the verdicts.
+
+    The dimension count runs against one general point of the closed
+    form's multiplicity, in its degree.  P5 is existence-only: it has no
+    closed form, and its count is a general triple and a general double
+    point on P5_MULTI in degree 4."""
+    head, params = parse_id(family, "family")
+    if head == "P5" and not params:
+        form, name, config_id, degree = None, "P5", "P5_MULTI", 4
+        template = ((0, 3), (0, 2))
+    else:
+        form = build_formula(family)
+        name, config_id, degree = form.family, form.config_id, form.degree
+        template = ((0, form.multiplicity),)
+    cfg = named_configuration(config_id)
     built_degree = point_degree = None
     vanishing = kernel_member = certified = None
     attained = expected_mult = None
-    form = rec.form
     if form is not None:
         built_degree = form.poly.degree_in(
             range(form.npoint, form.npoint + form.ncoord))
@@ -477,12 +446,12 @@ def verify_family(family: str, trials: int = 2, seed: int = 0) -> FamilyReport:
         vanishing = symbolic_vanishing_on_Z(form, cfg)
         attained, certified = symbolic_multiplicity_at_general(form)
         kernel_member = specialized_kernel_membership(form, cfg, seed=seed)
-    decision = decide_unexpected(cfg.scheme, rec.template, rec.degree,
+    decision = decide_unexpected(cfg.scheme, template, degree,
                                  trials=trials, seed=seed)
     return FamilyReport(
-        family=rec.family,
-        config_id=rec.config_id,
-        degree=rec.degree,
+        family=name,
+        config_id=config_id,
+        degree=degree,
         built_degree=built_degree,
         point_degree=point_degree,
         vanishing=vanishing,

@@ -19,8 +19,8 @@ from math import comb
 
 from .arrange import BudgetError, Flat
 from .cyclo import CyclotomicNumber, euler_phi
-from .linalg import Eliminator, eliminate
-from .mpoly import MultiPoly, graded_monomials
+from .linalg import Eliminator
+from .mpoly import graded_monomials
 from .scheme import (FatScheme, component_rows, conditions_count,
                      plane_point_count)
 
@@ -79,22 +79,6 @@ class ConditionMatrix:
         for flat, mult in scheme.components:
             mat.rows.extend(component_rows(flat, mult, degree))
         return mat
-
-
-def _kernel_polys(vectors, nvars: int, degree: int):
-    monos = graded_monomials(nvars, degree)
-    polys = []
-    for vec in vectors:
-        terms = {m: c for m, c in zip(monos, vec) if not c.is_zero()}
-        polys.append(MultiPoly(nvars, terms))
-    return polys
-
-
-def rank_kernel(mat: ConditionMatrix):
-    """Exact rank and kernel basis (as polynomials) of a condition matrix."""
-    elim = eliminate(mat.rows, mat.ncols, mat.order)
-    kernel = _kernel_polys(elim.kernel_basis(), mat.ambient + 1, mat.degree)
-    return elim.rank, kernel
 
 
 def _key(rows) -> tuple:
@@ -168,8 +152,7 @@ def _scheme_eliminator(Z: FatScheme, d: int, symmetry=None) -> Eliminator:
     g*p exactly when it does at p: each block needs only the rows of one
     component per orbit, restricted to its columns.  So the joined block
     pivots span the row space of the full condition matrix, and rank,
-    canonical RREF and kernel_basis() are the same as eliminating it.
-    With one block the representatives' rows go in unsplit."""
+    canonical RREF and kernel are the same as eliminating it."""
     check_budget(Z, d)
     gens, reps = _symmetry(Z) if symmetry is None else symmetry
     N, order = Z.ambient, Z.root_order
@@ -178,8 +161,6 @@ def _scheme_eliminator(Z: FatScheme, d: int, symmetry=None) -> Eliminator:
     blocks: dict[tuple, list] = {}
     for col, beta in enumerate(graded_monomials(N + 1, d)):
         blocks.setdefault(tuple(beta[i] % order for i in gens), []).append(col)
-    if len(blocks) == 1:
-        return eliminate(rows, ncols, order)
     parts = [(Eliminator(len(cols), order), cols) for cols in blocks.values()]
     for row in rows:
         for elim, cols in parts:

@@ -136,7 +136,7 @@ def _apply(vals, k, start, pivot):
 
 
 class Eliminator:
-    """Incremental exact rank, canonical RREF and kernel over Q(e_order).
+    """Incremental exact rank and canonical RREF over Q(e_order).
 
     A row r over Z[e_order] is held as the phi rational rows that carry the
     coefficients of e^0 r, ..., e^(phi-1) r, column by column.  Their
@@ -273,7 +273,3 @@ class Eliminator:
             out.append(tuple(CyclotomicNumber._make(order, tuple(row[s:s + phi]), den)
                              for s in range(0, len(row), phi)))
         return pivot_cols, out
-
-    def kernel_basis(self):
-        """Exact kernel basis over Q(e_order) as coefficient vectors."""
-        return kernel_of_rref(self.reduced()[1], self.ncols, self.order)

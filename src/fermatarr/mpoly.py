@@ -23,7 +23,6 @@ from math import comb
 
 from .cyclo import CyclotomicNumber, as_field, check_root_order, common_order
 
-Coeff = CyclotomicNumber
 _ZERO = CyclotomicNumber.zero()
 _ONE = CyclotomicNumber.one()
 
@@ -32,7 +31,7 @@ def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(nvars))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def graded_monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of the given total degree, lex-descending."""
     if nvars == 0:
@@ -52,7 +51,7 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None) -> None:
-        clean: dict[tuple[int, ...], Coeff] = {}
+        clean: dict[tuple[int, ...], CyclotomicNumber] = {}
         if terms:
             for exps, c in terms.items():
                 exps = tuple(exps)
@@ -119,10 +118,6 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         return len({sum(e) for e in self.terms}) <= 1
 
-    def is_homogeneous_in(self, variables) -> bool:
-        vs = tuple(variables)
-        return len({sum(e[i] for i in vs) for e in self.terms}) <= 1
-
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         b = self._coerce(other)
@@ -150,7 +145,7 @@ class MultiPoly:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        terms: dict[tuple[int, ...], Coeff] = {}
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
@@ -203,7 +198,7 @@ class MultiPoly:
                 out = out.partial(i)
         return out
 
-    def evaluate(self, coords) -> Coeff:
+    def evaluate(self, coords) -> CyclotomicNumber:
         coords = list(coords)
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
@@ -225,7 +220,7 @@ class MultiPoly:
         zeros = [i for i, v in values.items() if not v]
         live = [i for i, v in values.items() if v]
         powers = {i: [_ONE] for i in live}
-        subvalues: dict[tuple[int, ...], Coeff] = {}
+        subvalues: dict[tuple[int, ...], CyclotomicNumber] = {}
 
         def subvalue(sub):
             out = subvalues.get(sub)
@@ -240,7 +235,7 @@ class MultiPoly:
                 subvalues[sub] = out
             return out
 
-        terms: dict[tuple[int, ...], Coeff] = {}
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
         for e, c in self.terms.items():
             if any(e[i] for i in zeros):
                 continue
@@ -281,7 +276,7 @@ class MultiPoly:
             out = out + piece
         return out
 
-    def coeff_vector(self, monomials) -> list[Coeff]:
+    def coeff_vector(self, monomials) -> list[CyclotomicNumber]:
         """Coefficients against an explicit monomial list; support must be covered."""
         index = {m: i for i, m in enumerate(monomials)}
         vec = [_ZERO] * len(monomials)
@@ -313,7 +308,7 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _format_term(c: Coeff, mono: str) -> str:
+def _format_term(c: CyclotomicNumber, mono: str) -> str:
     if c.is_rational():
         r = c.as_rational()
         if not mono:

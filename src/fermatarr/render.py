@@ -18,7 +18,7 @@ Viewport = tuple[Fraction, Fraction, Fraction, Fraction]
 
 DEFAULT_VIEWPORT = (Fraction(-3), Fraction(3), Fraction(-3), Fraction(3))
 DEFAULT_GRID = 512
-DEFAULT_SIZE = 640
+SIZE = 640  # the square image's side, in pixels
 
 
 def real_line_coefficients(arr: Arrangement):
@@ -166,30 +166,27 @@ def _fmt(v: float) -> str:
 
 
 class _Mapper:
-    def __init__(self, viewport: Viewport, size: int):
+    def __init__(self, viewport: Viewport):
         self.xmin, self.xmax, self.ymin, self.ymax = (float(v)
                                                       for v in viewport)
-        self.size = size
 
     def __call__(self, x, y):
-        sx = (float(x) - self.xmin) / (self.xmax - self.xmin) * self.size
-        sy = self.size - (float(y) - self.ymin) / (self.ymax - self.ymin) \
-            * self.size
+        sx = (float(x) - self.xmin) / (self.xmax - self.xmin) * SIZE
+        sy = SIZE - (float(y) - self.ymin) / (self.ymax - self.ymin) * SIZE
         return _fmt(sx), _fmt(sy)
 
 
 def render_svg(arrangement: Arrangement | None = None,
                curves=(),
                viewport: Viewport = DEFAULT_VIEWPORT,
-               grid: int = DEFAULT_GRID,
-               size: int = DEFAULT_SIZE) -> str:
+               grid: int = DEFAULT_GRID) -> str:
     """Compose the SVG: exact arrangement lines plus contoured curves."""
-    to_px = _Mapper(viewport, size)
+    to_px = _Mapper(viewport)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     if arrangement is not None:
         drawn = skipped = 0

@@ -112,9 +112,9 @@ def parse_scheme(text: str) -> FatScheme:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        words = line.split()
         try:
-            if line.startswith("ambient"):
-                words = line.split()
+            if words[0] == "ambient":
                 if len(words) != 2:
                     raise ValueError("expected 'ambient N'")
                 ambient = int(words[1])
@@ -173,21 +173,6 @@ def conditions_count(N: int, r: int, m: int, d: int) -> int:
     if d < 0:
         raise ValueError("d must be >= 0")
     return sum(_binom(d - i + r, r) * _binom(N - r - 1 + i, i) for i in range(m))
-
-
-def conditions_count_line(N: int, m: int, d: int) -> int:
-    """Closed form for a fat line in P^N; must agree with conditions_count."""
-    num = m * (N * d + 2 * N + m - m * N - 1) * comb(N + m - 2, m)
-    den = N * (N - 1)
-    if num % den:
-        raise ArithmeticError("line conditions formula is not integral here")
-    return num // den
-
-
-def conditions_count_line_p3(m: int, d: int) -> int:
-    """Closed form for a fat line in P^3, with the published free symbol
-    read as the degree d."""
-    return comb(m + 1, 2) * (d + 1) - 2 * comb(m + 1, 3)
 
 
 def plane_point_count(m: int) -> int:

@@ -15,7 +15,8 @@ division (CyclotomicNumber.inverse), pivoting on the first nonzero entry.
 general_point_count is the count of conditions one general fat point
 imposes, C(N+m-1, N), which the conditions-count tests compare against.
 
-kernel_of_rows is the kernel of any rows, through the canonical RREF;
+kernel_basis is the kernel of an Eliminator's rows, read off its
+canonical RREF, and kernel_of_rows the kernel of any rows, the same way;
 Flat.from_equations of it is the two-RREF route to a span's equations.
 
 The derived-flats oracle is the all-pairs descent: every flat meets every
@@ -24,6 +25,17 @@ hyperplane is made from both sides.
 
 catalogue_points lists the coordinates of 389 catalogue points, rational
 and cyclotomic at orders 3, 6, 7 and 12, for the text round trips.
+
+conditions_count_line and conditions_count_line_p3 are published closed
+forms for a fat line, which agree with conditions_count only from the
+threshold d >= m-1 on.
+
+rank_kernel eliminates a whole ConditionMatrix, with no symmetry blocks,
+and returns its kernel as polynomials.
+
+contains_flat, containing_hyperplanes and lattice_membership are the
+incidence queries of an arrangement's intersection lattice, by dot
+products of equations with span bases.
 """
 
 from fractions import Fraction
@@ -31,7 +43,7 @@ from math import comb
 
 from fermatarr.arrange import Flat
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
-from fermatarr.linalg import kernel_of_rref, rref
+from fermatarr.linalg import eliminate, kernel_of_rref, row_dot, rref
 from fermatarr.mpoly import MultiPoly, graded_monomials
 from fermatarr.scheme import named_configuration
 
@@ -141,6 +153,12 @@ def general_point_count(N: int, m: int) -> int:
     return comb(N + m - 1, N)
 
 
+def kernel_basis(elim):
+    """Basis of the kernel of an Eliminator's rows, one vector per free
+    column of its canonical RREF."""
+    return kernel_of_rref(elim.reduced()[1], elim.ncols, elim.order)
+
+
 def kernel_of_rows(rows, ncols: int, order: int):
     """Basis of {v : row . v = 0 for all rows}, from the canonical RREF."""
     return kernel_of_rref(rref(rows, ncols, order)[1], ncols, order)
@@ -167,3 +185,49 @@ def catalogue_points() -> list:
     return [fl.point() for cid in ("B3_DUAL", "FERMAT_DUAL(7,3)", "FERMAT_DUAL(12,1)",
                                    "BMSS_P3", "MULT4_POINTS(6)", "P5_MULTI")
             for fl, _ in named_configuration(cid).scheme.components]
+
+
+def conditions_count_line(N: int, m: int, d: int) -> int:
+    """Closed form for a fat line in P^N; must agree with conditions_count."""
+    num = m * (N * d + 2 * N + m - m * N - 1) * comb(N + m - 2, m)
+    den = N * (N - 1)
+    if num % den:
+        raise ArithmeticError("line conditions formula is not integral here")
+    return num // den
+
+
+def conditions_count_line_p3(m: int, d: int) -> int:
+    """Closed form for a fat line in P^3, with the published free symbol
+    read as the degree d."""
+    return comb(m + 1, 2) * (d + 1) - 2 * comb(m + 1, 3)
+
+
+def rank_kernel(mat):
+    """Exact rank and kernel basis (as polynomials) of a ConditionMatrix."""
+    elim = eliminate(mat.rows, mat.ncols, mat.order)
+    nvars = mat.ambient + 1
+    monos = graded_monomials(nvars, mat.degree)
+    kernel = [MultiPoly(nvars, {m: c for m, c in zip(monos, vec) if c})
+              for vec in kernel_basis(elim)]
+    return elim.rank, kernel
+
+
+def contains_flat(outer: Flat, inner: Flat) -> bool:
+    """Whether every equation of outer vanishes on the span of inner."""
+    return all(row_dot(row, vec).is_zero()
+               for vec in inner.span_basis() for row in outer.equations)
+
+
+def containing_hyperplanes(arr, fl: Flat) -> list:
+    """Arrangement hyperplanes whose form vanishes on the whole flat."""
+    return [h for h in arr.hyperplanes if contains_flat(h, fl)]
+
+
+def lattice_membership(arr, fl: Flat):
+    """(member, containing_count): member iff the flat equals the meet of
+    all arrangement hyperplanes containing it."""
+    containing = containing_hyperplanes(arr, fl)
+    if not containing:
+        return False, 0
+    meet = Flat.from_equations([h.equations[0] for h in containing])
+    return meet == fl, len(containing)

@@ -8,6 +8,9 @@ import random
 import time
 from contextlib import contextmanager
 
+from helpers import (conditions_count_line, conditions_count_line_p3,
+                     lattice_membership, rank_kernel)
+
 from fermatarr import (
     build_formula,
     decide_unexpected,
@@ -24,18 +27,13 @@ from fermatarr import (
     system_dimension,
     verify_published_generators,
 )
-from fermatarr.arrange import Flat, GroupElement, lattice_membership
+from fermatarr.arrange import Flat, GroupElement
 from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.formulas import fermat_family_curve, specialized_kernel_membership
-from fermatarr.interp import ConditionMatrix, random_flat, rank_kernel
+from fermatarr.interp import ConditionMatrix, random_flat
 from fermatarr.linalg import rank_of_field_rows, row_dot
 from fermatarr.mpoly import MultiPoly, graded_monomials
-from fermatarr.scheme import (
-    component_rows,
-    conditions_count,
-    conditions_count_line,
-    conditions_count_line_p3,
-)
+from fermatarr.scheme import component_rows, conditions_count
 
 
 @contextmanager

@@ -200,6 +200,7 @@ def test_unparsable_scheme_file_exits_1(tmp_path, capsys):
     for text, lineno in (("ambient 2\npoint (0:0:0) mult 1\n", 2),
                          ("ambient 2\npoint (1 : e(0) : 1) mult 1\n", 2),
                          ("ambient\npoint (1:2:3) mult 1\n", 1),
+                         ("ambientfoo 2\npoint (1:2:3) mult 1\n", 1),
                          ("ambient -1\n", 1), ("ambient 0\n", 1),
                          ("ambient 2\npoint (1:2:3:4) mult 1\n", 2),
                          ("ambient 2\npoint (1:2:3) mult 1\n"
@@ -210,7 +211,7 @@ def test_unparsable_scheme_file_exits_1(tmp_path, capsys):
         code, _, err = run(capsys, "dimension", "--scheme", str(bad),
                            "--degree", "2")
         assert code == 1
-        assert f"scheme line {lineno}" in err
+        assert f"scheme line {lineno}:" in err
 
 
 def test_dual_lists_points(capsys):

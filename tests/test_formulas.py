@@ -10,10 +10,8 @@ from fermatarr.formulas import (
     bmss_surface,
     build_formula,
     equal_up_to_scalar,
-    family_record,
     fermat_family_curve,
     membership_in_fat_ideal,
-    mult4_cofactor_reconciliation,
     mult4_curve,
     mult4_weights,
     quintic_curve,
@@ -52,15 +50,23 @@ def test_bidegrees_and_homogeneity():
         assert form.poly.degree_in(range(form.npoint, form.npoint + form.ncoord)) \
             == degree
         assert form.point_degree() == pdeg
-        assert form.poly.is_homogeneous_in(range(form.npoint))
-        assert form.poly.is_homogeneous_in(
-            range(form.npoint, form.npoint + form.ncoord))
+        # bihomogeneous: one degree in the point, one in the coordinates
+        assert {sum(e[:form.npoint]) for e in form.poly.terms} == {pdeg}
+        assert {sum(e[form.npoint:]) for e in form.poly.terms} == {degree}
 
 
 def test_symbolic_vanishing_on_configurations():
     for family in ("B3", "M3", "M4", "GEN(5)", "GEN(6)", "BMSS",
                    "MULT4(3)", "MULT4(4)", "MULT4(5)"):
         assert symbolic_vanishing_on_Z(build_formula(family))
+    # a configuration that is not a point set in the form's ambient space
+    # is refused, not passed with nothing checked
+    for family, cid, match in (("BMSS", "LINES42", "not a point"),
+                               ("B3", "LINES42", r"P\^3, but B3 has 3"),
+                               ("B3", "BMSS_P3", r"P\^3, but B3 has 3")):
+        with pytest.raises(ValueError, match=match):
+            symbolic_vanishing_on_Z(build_formula(family),
+                                    named_configuration(cid))
 
 
 def test_vanishing_detects_perturbation():
@@ -148,13 +154,31 @@ def test_mult4_weights_and_ideal_membership():
     bumped = form.poly + MultiPoly(6, {(0, 0, 0, 5, 0, 0): 1})
     broken = type(form)(form.family, form.config_id, form.point_names,
                         form.coord_names, form.degree, form.multiplicity, bumped)
-    assert not membership_in_fat_ideal(3, broken)
+    attained, certified = symbolic_multiplicity_at_general(broken)
+    assert not (certified and attained >= 4)
 
 
 def test_mult4_cofactor_completion():
-    # the degree-deficient cofactor term closes up exactly with x, and
-    # with neither of the other two coordinates
-    assert mult4_cofactor_reconciliation() == "x"
+    # The cofactor presentation of c^4 times the multiplicity-4 curve for
+    # n = 3, the only n with linear cofactors, over the generators of the
+    # fourth ideal power: one cofactor term, (2*a^3*c + c^4), arrives
+    # without an ambient variable and is degree-deficient as given.  It
+    # closes up exactly with x, and with neither of the other two
+    # coordinates.
+    a, b, c, x, y, z = (MultiPoly.variable(i, 6) for i in range(6))
+    f1 = c * x - a * z
+    f2 = c * y - b * z
+    g1, g2, g4, g5 = f2**4, f1 * f2**3, f1**3 * f2, f1**4
+    lhs = c**4 * mult4_curve(3).poly
+    exact = []
+    for cand, name in ((x, "x"), (y, "y"), (z, "z")):
+        rhs = (((a**4 + 2 * a * c**3) * z - (2 * a**3 * c + c**4) * cand) * g1
+               + (6 * a**2 * b * c * x - (4 * a**3 * b + 2 * b * c**3) * z) * g2
+               + ((4 * a * b**3 + 2 * a * c**3) * z - 6 * a * b**2 * c * y) * g4
+               + ((2 * b**3 * c + c**4) * y - (b**4 + 2 * b * c**3) * z) * g5)
+        if rhs == lhs:
+            exact.append(name)
+    assert exact == ["x"]
 
 
 def test_kernel_membership_of_specializations():
@@ -166,12 +190,6 @@ def test_kernel_membership_of_specializations():
         for k in range(max(0, 5 - m), 4):
             cfg = named_configuration(f"FERMAT_DUAL({m},{k})")
             assert specialized_kernel_membership(form, config=cfg, seed=1)
-
-
-def test_kernel_membership_rejects_wrong_degree():
-    form = b3_quartic()
-    with pytest.raises(ValueError, match="outside the given basis"):
-        specialized_kernel_membership(form, degree=5, seed=1)
 
 
 def test_equal_up_to_scalar():
@@ -200,24 +218,14 @@ def test_build_formula_parsing_and_errors():
             build_formula(bad)
 
 
-def test_family_record_p5_is_existence_only():
-    rec = family_record("P5")
-    assert rec.config_id == "P5_MULTI"
-    assert rec.degree == 4
-    assert rec.template == ((0, 3), (0, 2))
-    assert rec.form is None
-    rec_b3 = family_record("B3")
-    assert rec_b3.form.family == "B3" and rec_b3.template == ((0, 3),)
-
-
 def test_uniqueness_of_small_families():
     # the configuration plus the general fat scheme of the template cuts
     # out a single form up to scalar
     for family in ("B3", "M3", "BMSS", "GEN(5)", "GEN(7)", "MULT4(5)"):
-        rec = family_record(family)
-        cfg = named_configuration(rec.config_id)
-        report = decide_unexpected(cfg.scheme, rec.template, rec.degree,
-                                   trials=2, seed=0)
+        form = build_formula(family)
+        cfg = named_configuration(form.config_id)
+        report = decide_unexpected(cfg.scheme, [(0, form.multiplicity)],
+                                   form.degree, trials=2, seed=0)
         assert report.actual == 1, family
 
 
@@ -232,10 +240,18 @@ def test_verify_family_b3_report():
     assert d["unique"] is True
     assert d["decision"]["unexpected"] is True
     assert d["built_degree"] == 4
+    assert d["degree"] == 4
+    # the plan: one general triple point, C(4, 2) = 6 conditions
+    assert d["decision"]["conditions_X"] == 6
 
 
 def test_verify_family_p5_existence_only():
     rep = verify_family("P5", trials=2, seed=0)
+    # the plan: P5_MULTI in degree 4 against a general triple and a general
+    # double point of P^5, C(7, 5) + C(6, 5) = 27 conditions
+    assert rep.family == "P5" and rep.config_id == "P5_MULTI"
+    assert rep.degree == 4
+    assert rep.decision.conditions_X == 27
     assert rep.built_degree is None and rep.vanishing is None
     assert rep.kernel_member is None
     assert rep.unique

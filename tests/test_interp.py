@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import kernel_basis, rank_kernel
 
 from fermatarr import interp
 from fermatarr.arrange import Flat
@@ -15,7 +16,6 @@ from fermatarr.interp import (
     decide_unexpected,
     hilbert_function,
     random_flat,
-    rank_kernel,
     system_dimension,
 )
 from fermatarr.linalg import Eliminator, eliminate
@@ -230,7 +230,7 @@ def _assert_blocks_match(Z, d_max, label):
     for d in range(d_max + 1):
         blocked, plain = interp._scheme_eliminator(Z, d), _unblocked(Z, d)
         assert blocked.reduced() == plain.reduced(), (label, d)
-        assert blocked.kernel_basis() == plain.kernel_basis(), (label, d)
+        assert kernel_basis(blocked) == kernel_basis(plain), (label, d)
         ranks.append(plain.rank)
     assert hilbert_function(Z, d_max) == ranks, label
 

@@ -291,7 +291,6 @@ def test_substitute_linear_single_variable_rename():
 def test_homogeneity_predicates():
     p = parse_poly("x0^2*x1 - x2^3", ("x0", "x1", "x2"))
     assert p.is_homogeneous()
-    assert p.is_homogeneous_in((0, 1, 2))
     q = p + 1
     assert not q.is_homogeneous()
     assert p.degree_in((0,)) == 2

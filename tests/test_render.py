@@ -8,6 +8,7 @@ from fermatarr.arrange import fermat_arrangement
 from fermatarr.mpoly import parse_poly
 from fermatarr.render import (
     DEFAULT_VIEWPORT,
+    SIZE,
     clip_line,
     contour_segments,
     real_line_coefficients,
@@ -77,12 +78,12 @@ def test_empty_locus_has_no_segments():
 def test_render_svg_composition():
     arr = fermat_arrangement(2, 2, 2)
     circle = parse_poly("x^2 + y^2 - 4*z^2", ("x", "y", "z"))
-    svg = render_svg(arrangement=arr, curves=[circle], grid=32, size=320)
+    svg = render_svg(arrangement=arr, curves=[circle], grid=32)
     assert svg.startswith("<?xml")
     assert svg.rstrip().endswith("</svg>")
     assert "arrangement: 8 lines drawn, 1 outside this chart" in svg
     assert "curve:" in svg and "<path" in svg
-    assert 'width="320"' in svg
+    assert f'width="{SIZE}"' in svg
 
     bare = render_svg(curves=[circle], grid=16)
     assert "arrangement" not in bare and "curve:" in bare

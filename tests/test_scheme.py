@@ -4,7 +4,8 @@ import hashlib
 import random
 
 import pytest
-from helpers import chart_rows, field_rank_oracle, general_point_count
+from helpers import (chart_rows, conditions_count_line, conditions_count_line_p3,
+                     field_rank_oracle, general_point_count)
 
 from fermatarr import linalg
 from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
@@ -18,8 +19,6 @@ from fermatarr.scheme import (
     NamedConfig,
     component_rows,
     conditions_count,
-    conditions_count_line,
-    conditions_count_line_p3,
     format_component,
     format_scheme,
     named_configuration,
