@@ -240,18 +240,25 @@ def test_verify_family_b3_report():
     assert d["unique"] is True
     assert d["decision"]["unexpected"] is True
     assert d["built_degree"] == 4
-    assert d["degree"] == 4
-    # the plan: one general triple point, C(4, 2) = 6 conditions
-    assert d["decision"]["conditions_X"] == 6
+
+
+def test_family_record_p5_is_existence_only():
+    # the plan: P5_MULTI in degree 4 against a general triple and a general
+    # double point of P^5, C(7, 5) + C(6, 5) = 27 conditions, no closed form
+    rep = verify_family("P5", trials=2, seed=0)
+    assert rep.family == "P5" and rep.config_id == "P5_MULTI"
+    assert rep.degree == 4
+    assert rep.decision.conditions_X == 27
+    assert rep.built_degree is None and rep.point_degree is None
+    # B3 has a closed form: one general triple point, C(4, 2) = 6 conditions
+    rep_b3 = verify_family("B3", trials=2, seed=0)
+    assert rep_b3.family == "B3" and rep_b3.degree == 4
+    assert rep_b3.multiplicity_expected == 3
+    assert rep_b3.decision.conditions_X == 6
 
 
 def test_verify_family_p5_existence_only():
     rep = verify_family("P5", trials=2, seed=0)
-    # the plan: P5_MULTI in degree 4 against a general triple and a general
-    # double point of P^5, C(7, 5) + C(6, 5) = 27 conditions
-    assert rep.family == "P5" and rep.config_id == "P5_MULTI"
-    assert rep.degree == 4
-    assert rep.decision.conditions_X == 27
     assert rep.built_degree is None and rep.vanishing is None
     assert rep.kernel_member is None
     assert rep.unique
