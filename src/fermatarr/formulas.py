@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .arrange import Flat, check_flat_budget, parse_id
@@ -30,26 +30,19 @@ from .scheme import NamedConfig, component_rows, named_configuration
 class BuiltFormula:
     """A closed-form hypersurface equation with its verification targets.
 
-    `poly` lives in the combined ring (point variables, then ambient
-    coordinates), `degree` is its degree in the ambient coordinates and
-    `multiplicity` the claimed vanishing order at the general point.
+    `poly` lives in the combined ring (the `npoint` point variables, then
+    the `ncoord` ambient coordinates), `degree` is its degree in the
+    ambient coordinates and `multiplicity` the claimed vanishing order at
+    the general point.
     """
 
     family: str
     config_id: str
-    point_names: tuple[str, ...]
-    coord_names: tuple[str, ...]
+    npoint: int
+    ncoord: int
     degree: int
     multiplicity: int
     poly: MultiPoly
-
-    @property
-    def npoint(self) -> int:
-        return len(self.point_names)
-
-    @property
-    def ncoord(self) -> int:
-        return len(self.coord_names)
 
     def point_degree(self) -> int:
         return self.poly.degree_in(range(self.npoint))
@@ -75,60 +68,14 @@ def _ring(n: int):
     return [MultiPoly.variable(i, n) for i in range(n)]
 
 
-def b3_quartic() -> BuiltFormula:
-    a, b, c, x, y, z = _ring(6)
-    q = (3 * a * (b**2 - c**2) * x**2 * y * z
-         + 3 * b * (c**2 - a**2) * x * y**2 * z
-         + 3 * c * (a**2 - b**2) * x * y * z**2
-         + a**3 * (y**3 * z - y * z**3)
-         + b**3 * (x * z**3 - x**3 * z)
-         + c**3 * (x**3 * y - x * y**3))
-    return BuiltFormula("B3", "B3_DUAL", ("a", "b", "c"), ("x", "y", "z"),
-                        degree=4, multiplicity=3, poly=q)
-
-
-def quintic_curve() -> BuiltFormula:
-    """Degree-5 curve with a 4-fold general point for the 11-point dual of
-    the order-3 arrangement with two coordinate lines."""
-    a, b, c, x0, x1, x2 = _ring(6)
-    q = (a**4 * x1 * x2 * (x1**3 + x2**3)
-         + b**4 * x0 * x2 * (x0**3 + x2**3)
-         + c**4 * x0 * x1 * (x0**3 + x1**3)
-         - 4 * a * (b**3 + c**3) * x0**3 * x1 * x2
-         - 4 * b * (a**3 + c**3) * x0 * x1**3 * x2
-         - 4 * c * (a**3 + b**3) * x0 * x1 * x2**3
-         + 6 * a**2 * b**2 * x0**2 * x1**2 * x2
-         + 6 * a**2 * c**2 * x0**2 * x1 * x2**2
-         + 6 * b**2 * c**2 * x0 * x1**2 * x2**2)
-    return BuiltFormula("M3", "FERMAT_DUAL(3,2)", ("a", "b", "c"),
-                        ("x0", "x1", "x2"), degree=5, multiplicity=4, poly=q)
-
-
-def sextic_curve() -> BuiltFormula:
-    """Degree-6 curve with a 5-fold general point for the 13-point dual of
-    the order-4 arrangement with one coordinate line."""
-    a, b, c, x0, x1, x2 = _ring(6)
-    q = (a**5 * x1 * x2 * (x1**4 - x2**4)
-         + b**5 * x0 * x2 * (x2**4 - x0**4)
-         + c**5 * x0 * x1 * (x0**4 - x1**4)
-         + 10 * a**3 * x0**2 * x1 * x2 * (b**2 * x1**2 - c**2 * x2**2)
-         + 10 * b**3 * x0 * x1**2 * x2 * (c**2 * x2**2 - a**2 * x0**2)
-         + 10 * c**3 * x0 * x1 * x2**2 * (a**2 * x0**2 - b**2 * x1**2)
-         + 5 * a * (b**4 - c**4) * x0**4 * x1 * x2
-         + 5 * b * (c**4 - a**4) * x0 * x1**4 * x2
-         + 5 * c * (a**4 - b**4) * x0 * x1 * x2**4)
-    return BuiltFormula("M4", "FERMAT_DUAL(4,1)", ("a", "b", "c"),
-                        ("x0", "x1", "x2"), degree=6, multiplicity=5, poly=q)
-
-
 def fermat_family_curve(m: int) -> BuiltFormula:
     """The degree m+2 curve with an (m+1)-fold general point, m >= 2.
 
-    One parametric family covering every admissible arrangement order; it
-    is written independently of the three fixed-order builders above so
-    the two transcriptions cross-check each other.  An m whose
-    configuration, the dual of A(3, k_min, m), is over FLAT_BUDGET is
-    refused before any polynomial is built.
+    One parametric family covering every admissible arrangement order;
+    the B3, M3 and M4 ids are m = 2, 3 and 4.  The tests check it term by
+    term against the paper's three fixed-order forms, transcribed apart
+    from it.  An m whose configuration, the dual of A(3, k_min, m), is
+    over FLAT_BUDGET is refused before any polynomial is built.
     """
     if m < 2:
         raise ValueError("family needs m >= 2")
@@ -137,8 +84,8 @@ def fermat_family_curve(m: int) -> BuiltFormula:
     a, b, c, x0, x1, x2 = _ring(6)
     if m % 2 == 0:
         # Each orbit line carries its own point coordinate (a, b, c in
-        # turn); a common a-factor would break the cyclic symmetry that
-        # the three fixed-order builders exhibit.
+        # turn); a common a-factor would break the cyclic symmetry of the
+        # paper's fixed-order forms.
         q = MultiPoly.zero(6)
         for k in range(1, m // 2 + 2):
             co = math.comb(m + 1, 2 * k - 1)
@@ -172,9 +119,8 @@ def fermat_family_curve(m: int) -> BuiltFormula:
             a**h * b**h * x0**h * x1**h * x2
             + b**h * c**h * x0 * x1**h * x2**h
             + a**h * c**h * x0**h * x1 * x2**h)
-    return BuiltFormula(f"GEN({m})", f"FERMAT_DUAL({m},{k_min})",
-                        ("a", "b", "c"), ("x0", "x1", "x2"),
-                        degree=m + 2, multiplicity=m + 1, poly=q)
+    return BuiltFormula(f"GEN({m})", f"FERMAT_DUAL({m},{k_min})", npoint=3,
+                        ncoord=3, degree=m + 2, multiplicity=m + 1, poly=q)
 
 
 def bmss_surface() -> BuiltFormula:
@@ -193,8 +139,7 @@ def bmss_surface() -> BuiltFormula:
          + a**2 * (c**3 - b**3) * x0 * x3**3
          + b**2 * (a**3 - c**3) * x1 * x3**3
          + c**2 * (b**3 - a**3) * x2 * x3**3)
-    return BuiltFormula("BMSS", "BMSS_P3", ("a", "b", "c", "d"),
-                        ("x0", "x1", "x2", "x3"),
+    return BuiltFormula("BMSS", "BMSS_P3", npoint=4, ncoord=4,
                         degree=4, multiplicity=3, poly=q)
 
 
@@ -222,16 +167,19 @@ def mult4_curve(n: int) -> BuiltFormula:
          + w * a**(n - 1) * b * c * x**2 * (y**n - z**n)
          + w * a * b**(n - 1) * c * y**2 * (z**n - x**n)
          + w * a * b * c**(n - 1) * z**2 * (x**n - y**n))
-    return BuiltFormula(f"MULT4({n})", f"MULT4_POINTS({n})",
-                        ("a", "b", "c"), ("x", "y", "z"),
-                        degree=n + 2, multiplicity=4, poly=q)
+    return BuiltFormula(f"MULT4({n})", f"MULT4_POINTS({n})", npoint=3,
+                        ncoord=3, degree=n + 2, multiplicity=4, poly=q)
 
 
-_FIXED_BUILDERS = {
-    "B3": b3_quartic,
-    "M3": quintic_curve,
-    "M4": sextic_curve,
-    "BMSS": bmss_surface,
+# family id head -> (number of parameters, builder)
+_FAMILIES = {
+    "B3": (0, lambda: replace(fermat_family_curve(2), family="B3",
+                              config_id="B3_DUAL")),
+    "M3": (0, lambda: replace(fermat_family_curve(3), family="M3")),
+    "M4": (0, lambda: replace(fermat_family_curve(4), family="M4")),
+    "GEN": (1, fermat_family_curve),
+    "BMSS": (0, bmss_surface),
+    "MULT4": (1, mult4_curve),
 }
 
 
@@ -239,18 +187,26 @@ def build_formula(family: str) -> BuiltFormula:
     """Look up a closed form by family id: B3, M3, M4, GEN(m), BMSS or
     MULT4(n)."""
     head, params = parse_id(family, "family")
-    if head in _FIXED_BUILDERS and not params:
-        return _FIXED_BUILDERS[head]()
-    if head == "GEN" and len(params) == 1:
-        return fermat_family_curve(params[0])
-    if head == "MULT4" and len(params) == 1:
-        return mult4_curve(params[0])
     if head == "P5":
         raise ValueError("the P5 family is existence-only; no closed form")
-    raise ValueError(f"unknown formula family {family!r}")
+    arity, build = _FAMILIES.get(head, (None, None))
+    if arity != len(params):
+        raise ValueError(f"unknown formula family {family!r}")
+    return build(*params)
 
 
 # -- symbolic verification --------------------------------------------------
+
+def _configuration(form: BuiltFormula,
+                   config: NamedConfig | None) -> NamedConfig:
+    """config, or the form's own configuration when it is None; a
+    ValueError when it does not lie in the form's ambient space."""
+    cfg = config if config is not None else named_configuration(form.config_id)
+    if cfg.scheme.ambient + 1 != form.ncoord:
+        raise ValueError(f"{cfg.id} lies in P^{cfg.scheme.ambient}, but "
+                         f"{form.family} has {form.ncoord} ambient coordinates")
+    return cfg
+
 
 def symbolic_vanishing_on_Z(form: BuiltFormula,
                             config: NamedConfig | None = None) -> bool:
@@ -259,11 +215,8 @@ def symbolic_vanishing_on_Z(form: BuiltFormula,
 
     Raises ValueError when the configuration is not a point set in the
     form's ambient space, which this check would otherwise pass unread."""
-    cfg = config if config is not None else named_configuration(form.config_id)
+    cfg = _configuration(form, config)
     scheme = cfg.scheme
-    if scheme.ambient + 1 != form.ncoord:
-        raise ValueError(f"{cfg.id} lies in P^{scheme.ambient}, but {form.family} "
-                         f"has {form.ncoord} ambient coordinates")
     if any(flat.dim for flat, _ in scheme.components):
         raise ValueError(f"{cfg.id} has a component that is not a point")
     np_ = form.npoint
@@ -380,8 +333,9 @@ def specialized_kernel_membership(form: BuiltFormula,
                                   seed: int = 0) -> bool:
     """Pin the general point to random rational coordinates and test that
     the specialized coefficient vector is annihilated by every condition
-    row: the configuration's own rows plus the fat point's rows."""
-    cfg = config if config is not None else named_configuration(form.config_id)
+    row: the configuration's own rows plus the fat point's rows.  Raises
+    ValueError when the configuration is not in the form's ambient space."""
+    cfg = _configuration(form, config)
     d = form.degree
     rng = random.Random(seed)
     coords = _random_point(rng, form.npoint)

@@ -152,8 +152,8 @@ def _scheme_eliminator(Z: FatScheme, d: int, symmetry=None) -> Eliminator:
     g*p exactly when it does at p: each block needs only the rows of one
     component per orbit, restricted to its columns.  So the joined block
     pivots span the row space of the full condition matrix, and rank,
-    canonical RREF and kernel are the same as eliminating it."""
-    check_budget(Z, d)
+    canonical RREF and kernel are the same as eliminating it.  The caller
+    checks the budget."""
     gens, reps = _symmetry(Z) if symmetry is None else symmetry
     N, order = Z.ambient, Z.root_order
     ncols = comb(N + d, N)
@@ -174,6 +174,7 @@ def _scheme_eliminator(Z: FatScheme, d: int, symmetry=None) -> Eliminator:
 def system_dimension(Z: FatScheme, d: int) -> int:
     """Vector-space dimension of degree-d forms vanishing on Z with
     multiplicities."""
+    check_budget(Z, d)
     elim = _scheme_eliminator(Z, d)
     return elim.ncols - elim.rank
 

@@ -123,6 +123,9 @@ def parse_scheme(text: str) -> FatScheme:
                 if any(fl.ambient != ambient for fl in components):
                     raise ValueError("component ambient mismatch")
                 continue
+            if not line.startswith(("point", "flat")):
+                raise ValueError(f"unknown line kind {words[0]!r}: expected "
+                                 f"'ambient N', 'point ...' or 'flat ...'")
             if "mult" not in line:
                 raise ValueError("expected a component line ending in 'mult M'")
             body, mult_text = line.rsplit("mult", 1)
@@ -133,7 +136,7 @@ def parse_scheme(text: str) -> FatScheme:
                 if ambient is None:
                     ambient = len(pt) - 1
                 flat = Flat.from_point(pt)
-            elif body.startswith("flat"):
+            else:
                 if ambient is None:
                     raise ValueError("flat line before ambient header")
                 inner = body[len("flat"):].strip()
@@ -146,8 +149,6 @@ def parse_scheme(text: str) -> FatScheme:
                 rows = [_linear_coefficients(parse_poly(part, names))
                         for part in inner[3:].split(",")]
                 flat = Flat.from_equations(rows)
-            else:
-                raise ValueError(f"unknown component kind {body.split()[0]!r}")
             _add_component(components, ambient, flat, mult)
         except ValueError as exc:
             raise ValueError(f"scheme line {lineno}: {exc}") from None

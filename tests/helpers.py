@@ -36,6 +36,10 @@ and returns its kernel as polynomials.
 contains_flat, containing_hyperplanes and lattice_membership are the
 incidence queries of an arrangement's intersection lattice, by dot
 products of equations with span bases.
+
+b3_quartic, quintic_curve and sextic_curve transcribe the paper's
+published B3 quartic, M3 quintic and M4 sextic term by term, apart from
+the library's parametric family, which the tests compare against them.
 """
 
 from fractions import Fraction
@@ -43,6 +47,7 @@ from math import comb
 
 from fermatarr.arrange import Flat
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
+from fermatarr.formulas import BuiltFormula
 from fermatarr.linalg import eliminate, kernel_of_rref, row_dot, rref
 from fermatarr.mpoly import MultiPoly, graded_monomials
 from fermatarr.scheme import named_configuration
@@ -231,3 +236,52 @@ def lattice_membership(arr, fl: Flat):
         return False, 0
     meet = Flat.from_equations([h.equations[0] for h in containing])
     return meet == fl, len(containing)
+
+
+def _paper_form(family: str, config_id: str, degree: int, poly) -> BuiltFormula:
+    return BuiltFormula(family, config_id, npoint=3, ncoord=3, degree=degree,
+                        multiplicity=degree - 1, poly=poly)
+
+
+def b3_quartic() -> BuiltFormula:
+    """Degree-4 curve with a triple general point on the B3 dual points."""
+    a, b, c, x, y, z = (MultiPoly.variable(i, 6) for i in range(6))
+    q = (3 * a * (b**2 - c**2) * x**2 * y * z
+         + 3 * b * (c**2 - a**2) * x * y**2 * z
+         + 3 * c * (a**2 - b**2) * x * y * z**2
+         + a**3 * (y**3 * z - y * z**3)
+         + b**3 * (x * z**3 - x**3 * z)
+         + c**3 * (x**3 * y - x * y**3))
+    return _paper_form("B3", "B3_DUAL", 4, q)
+
+
+def quintic_curve() -> BuiltFormula:
+    """Degree-5 curve with a 4-fold general point for the 11-point dual of
+    the order-3 arrangement with two coordinate lines."""
+    a, b, c, x0, x1, x2 = (MultiPoly.variable(i, 6) for i in range(6))
+    q = (a**4 * x1 * x2 * (x1**3 + x2**3)
+         + b**4 * x0 * x2 * (x0**3 + x2**3)
+         + c**4 * x0 * x1 * (x0**3 + x1**3)
+         - 4 * a * (b**3 + c**3) * x0**3 * x1 * x2
+         - 4 * b * (a**3 + c**3) * x0 * x1**3 * x2
+         - 4 * c * (a**3 + b**3) * x0 * x1 * x2**3
+         + 6 * a**2 * b**2 * x0**2 * x1**2 * x2
+         + 6 * a**2 * c**2 * x0**2 * x1 * x2**2
+         + 6 * b**2 * c**2 * x0 * x1**2 * x2**2)
+    return _paper_form("M3", "FERMAT_DUAL(3,2)", 5, q)
+
+
+def sextic_curve() -> BuiltFormula:
+    """Degree-6 curve with a 5-fold general point for the 13-point dual of
+    the order-4 arrangement with one coordinate line."""
+    a, b, c, x0, x1, x2 = (MultiPoly.variable(i, 6) for i in range(6))
+    q = (a**5 * x1 * x2 * (x1**4 - x2**4)
+         + b**5 * x0 * x2 * (x2**4 - x0**4)
+         + c**5 * x0 * x1 * (x0**4 - x1**4)
+         + 10 * a**3 * x0**2 * x1 * x2 * (b**2 * x1**2 - c**2 * x2**2)
+         + 10 * b**3 * x0 * x1**2 * x2 * (c**2 * x2**2 - a**2 * x0**2)
+         + 10 * c**3 * x0 * x1 * x2**2 * (a**2 * x0**2 - b**2 * x1**2)
+         + 5 * a * (b**4 - c**4) * x0**4 * x1 * x2
+         + 5 * b * (c**4 - a**4) * x0 * x1**4 * x2
+         + 5 * c * (a**4 - b**4) * x0 * x1 * x2**4)
+    return _paper_form("M4", "FERMAT_DUAL(4,1)", 6, q)

@@ -66,6 +66,13 @@ PINNED_STRUCTURED = [
      "201261b335e55181643f238218563e6f5b657af63428ea4db166efa380400c14"),
     (("hilbert", "--config-id", "LINES42", "--max-degree", "7"),
      "3485810d93e555f89ae758b3a85ff6638e44b3ef571540f896873c9b5c400d77"),
+    # the ids that name GEN(2), GEN(3) and GEN(4) under their own labels
+    (("verify-formula", "--config-id", "B3"),
+     "344fe7cc4e26fc1e6a18c003cb52c3adc73d420d1c0f24d38d3a6ca5def195a8"),
+    (("verify-formula", "--config-id", "M3"),
+     "6f59f14ea82936b39c99e9c3762a98c67d226329e1a6de9ba7c9d0111831b678"),
+    (("verify-formula", "--config-id", "M4"),
+     "a5ffe9df7e504363e55eff76c90cafc8ffba4d47c97ae850bc868501de7cdecc"),
 ]
 
 
@@ -212,6 +219,8 @@ def test_unparsable_scheme_file_exits_1(tmp_path, capsys):
                            "--degree", "2")
         assert code == 1
         assert f"scheme line {lineno}:" in err
+        if text.startswith("ambientfoo"):  # the misspelt header is named
+            assert "'ambientfoo'" in err
 
 
 def test_dual_lists_points(capsys):
@@ -373,6 +382,9 @@ def test_render_curve_svg(capsys):
     assert code == 0
     assert "curve:" in out and "contour segments" in out
     assert "<path" in out
+    # B3 is GEN(2) relabelled, and must draw what the paper's quartic drew
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "af157a9abacd4ac2e0d4f3ea737683d29100dc9e4fa69e7389671bda7dcb6c55"
 
 
 def test_version_flag(capsys):

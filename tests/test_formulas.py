@@ -1,12 +1,13 @@
 """Closed-form equations: construction, vanishing, multiplicity, membership."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from helpers import b3_quartic, quintic_curve, sextic_curve
 
 from fermatarr.formulas import (
-    b3_quartic,
     bmss_surface,
     build_formula,
     equal_up_to_scalar,
@@ -14,8 +15,6 @@ from fermatarr.formulas import (
     membership_in_fat_ideal,
     mult4_curve,
     mult4_weights,
-    quintic_curve,
-    sextic_curve,
     specialized_kernel_membership,
     symbolic_multiplicity_at_general,
     symbolic_vanishing_on_Z,
@@ -72,8 +71,7 @@ def test_symbolic_vanishing_on_configurations():
 def test_vanishing_detects_perturbation():
     form = b3_quartic()
     bumped = form.poly + MultiPoly(6, {(0, 0, 0, 4, 0, 0): 1})
-    broken = type(form)(form.family, form.config_id, form.point_names,
-                        form.coord_names, form.degree, form.multiplicity, bumped)
+    broken = replace(form, poly=bumped)
     assert not symbolic_vanishing_on_Z(broken)
 
 
@@ -92,10 +90,8 @@ def test_symbolic_multiplicities_certified():
 def test_multiplicity_strictly_between_zero_and_claimed():
     # (b*x - a*y)^2 * z vanishes twice at (a : b : c): every first partial
     # vanishes there, and d^2/dx^2 leaves 2*b^2*c
-    form = b3_quartic()
-    poly = parse_poly("(b*x - a*y)^2*z", form.point_names + form.coord_names)
-    double = type(form)(form.family, form.config_id, form.point_names,
-                        form.coord_names, 3, form.multiplicity, poly)
+    poly = parse_poly("(b*x - a*y)^2*z", ("a", "b", "c", "x", "y", "z"))
+    double = replace(b3_quartic(), degree=3, poly=poly)
     assert symbolic_multiplicity_at_general(double) == (2, True)
 
 
@@ -132,15 +128,13 @@ def test_multiplicity_matches_substitution_oracle():
                 Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3))), order)
             terms[e] = coeff * CyclotomicNumber.root(order, rng.randrange(order))
         poly = MultiPoly(6, terms) * rng.choice(through) ** rng.randint(0, 3)
-        form = type(base)(base.family, base.config_id, base.point_names,
-                          base.coord_names, base.degree, base.multiplicity, poly)
+        form = replace(base, poly=poly)
         want = _substitution_multiplicity(form)
         assert symbolic_multiplicity_at_general(form) == (want, True)
         orders.add(want)
     assert {0, 1, 2, 3} <= orders
     # F(a) = a^2 + a*b is not zero, so the order is 0
-    const = type(base)(base.family, base.config_id, base.point_names,
-                       base.coord_names, 2, 0, x**2 + a * y)
+    const = replace(base, degree=2, multiplicity=0, poly=x**2 + a * y)
     assert symbolic_multiplicity_at_general(const) == (0, True)
     assert _substitution_multiplicity(const) == 0
 
@@ -152,8 +146,7 @@ def test_mult4_weights_and_ideal_membership():
     assert membership_in_fat_ideal(5)
     form = mult4_curve(3)
     bumped = form.poly + MultiPoly(6, {(0, 0, 0, 5, 0, 0): 1})
-    broken = type(form)(form.family, form.config_id, form.point_names,
-                        form.coord_names, form.degree, form.multiplicity, bumped)
+    broken = replace(form, poly=bumped)
     attained, certified = symbolic_multiplicity_at_general(broken)
     assert not (certified and attained >= 4)
 
@@ -190,6 +183,15 @@ def test_kernel_membership_of_specializations():
         for k in range(max(0, 5 - m), 4):
             cfg = named_configuration(f"FERMAT_DUAL({m},{k})")
             assert specialized_kernel_membership(form, config=cfg, seed=1)
+    # a configuration outside the form's ambient space is refused, not
+    # dotted with a coefficient vector of another length
+    for cid in ("BMSS_P3", "LINES42"):
+        with pytest.raises(ValueError, match=r"P\^3, but B3 has 3"):
+            specialized_kernel_membership(build_formula("B3"),
+                                          named_configuration(cid), seed=1)
+    # lines in the form's own space are a real verdict
+    assert not specialized_kernel_membership(
+        build_formula("BMSS"), named_configuration("LINES42"), seed=1)
 
 
 def test_equal_up_to_scalar():
