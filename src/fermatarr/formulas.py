@@ -7,8 +7,8 @@ throughout: vanishing on a configuration, the vanishing order at the
 general point, and fat-ideal membership are exact polynomial identities,
 never sampled.  The one numeric bridge is `specialized_kernel_membership`,
 which pins the general point to random rational coordinates and checks
-that every incidence row of the configuration annihilates the resulting
-coefficient vector.
+that the fat point's condition rows annihilate the resulting coefficient
+vector and that the configuration's ConditionMatrix contains it.
 """
 
 from __future__ import annotations
@@ -332,9 +332,9 @@ def specialized_kernel_membership(form: BuiltFormula,
                                   config: NamedConfig | None = None,
                                   seed: int = 0) -> bool:
     """Pin the general point to random rational coordinates and test that
-    the specialized coefficient vector is annihilated by every condition
-    row: the configuration's own rows plus the fat point's rows.  Raises
-    ValueError when the configuration is not in the form's ambient space."""
+    the fat point's rows annihilate the specialized form and that it lies
+    in (I_Z)_d.  Raises ValueError when the configuration is not in the
+    form's ambient space."""
     cfg = _configuration(form, config)
     d = form.degree
     rng = random.Random(seed)
@@ -342,12 +342,10 @@ def specialized_kernel_membership(form: BuiltFormula,
     spec = form.specialize(coords)
     if spec.is_zero():
         return False
-    mat = ConditionMatrix.from_scheme(cfg.scheme, d)
-    rows = list(mat.rows)
-    pt = Flat.from_point(coords)
-    rows.extend(component_rows(pt, form.multiplicity, d))
+    mat = ConditionMatrix.from_scheme(cfg.scheme, d)  # the budget, before any row
     vec = spec.coeff_vector(graded_monomials(form.ncoord, d))
-    return all(row_dot(row, vec).is_zero() for row in rows)
+    rows = component_rows(Flat.from_point(coords), form.multiplicity, d)
+    return all(row_dot(row, vec).is_zero() for row in rows) and mat.contains(vec)
 
 
 # -- family verification -----------------------------------------------------

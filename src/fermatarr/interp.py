@@ -6,9 +6,9 @@ by semicontinuity the generic dimension is the minimum over random
 trials, which is reported together with the trial metadata.  Certified
 verdicts come only from the symbolic witnesses in the formulas module.
 
-The condition rows of a scheme are eliminated in the character blocks of
-the diagonal roots-of-unity symmetries that fix it (_scheme_eliminator),
-which gives the same rank, RREF and kernel as the full matrix.
+A ConditionMatrix holds the degree-d conditions of a scheme in the
+character blocks of its diagonal roots-of-unity symmetries; it gives the
+rank, RREF and kernel of the full matrix, and membership in (I_Z)_d.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import comb
 
 from .arrange import BudgetError, Flat
 from .cyclo import CyclotomicNumber, euler_phi
-from .linalg import Eliminator
+from .linalg import Eliminator, row_dot
 from .mpoly import graded_monomials
 from .scheme import (FatScheme, component_rows, conditions_count,
                      plane_point_count)
@@ -57,28 +57,6 @@ def check_budget(Z: FatScheme, d: int, extra_rows: int = 0,
             f"x phi {phi}, over the matrix budget MATRIX_BUDGET = "
             f"{MATRIX_BUDGET} (columns, and {each and 'trials x '}rows x "
             f"columns x phi)")
-
-
-class ConditionMatrix:
-    """Condition rows of a scheme in one degree, component by component;
-    columns are the degree-d monomials of P^N in graded lex order."""
-
-    __slots__ = ("ambient", "degree", "ncols", "order", "rows")
-
-    def __init__(self, ambient: int, degree: int, order: int = 1):
-        self.ambient = ambient
-        self.degree = degree
-        self.ncols = comb(ambient + degree, ambient)
-        self.order = order
-        self.rows = []
-
-    @classmethod
-    def from_scheme(cls, scheme: FatScheme, degree: int) -> "ConditionMatrix":
-        check_budget(scheme, degree)
-        mat = cls(scheme.ambient, degree, scheme.root_order)
-        for flat, mult in scheme.components:
-            mat.rows.extend(component_rows(flat, mult, degree))
-        return mat
 
 
 def _key(rows) -> tuple:
@@ -140,42 +118,63 @@ def _symmetry(Z: FatScheme):
     return tuple(gens), tuple(reps)
 
 
-def _scheme_eliminator(Z: FatScheme, d: int, symmetry=None) -> Eliminator:
-    """The Eliminator of the degree-d condition rows of Z, built block by
-    block under the diagonal symmetry of Z; symmetry, when given, is
-    _symmetry(Z), which hilbert_function computes once for every degree.
+@dataclass(frozen=True)
+class ConditionMatrix:
+    """The degree-d conditions of a fat scheme Z: ncols monomial columns in
+    graded lex order, split into blocks by character, and the rows over
+    Q(e_order) of one component per orbit of _symmetry(Z).
 
     (I_Z)_d is stable under the group G of the generators, so it is the
     direct sum of its parts in the character blocks: the spans of the
     monomials x^beta with one key (beta_i mod n over the generators i).
     For f in a block, g*f is a multiple of f, so f vanishes to order m at
-    g*p exactly when it does at p: each block needs only the rows of one
-    component per orbit, restricted to its columns.  So the joined block
-    pivots span the row space of the full condition matrix, and rank,
-    canonical RREF and kernel are the same as eliminating it.  The caller
-    checks the budget."""
-    gens, reps = _symmetry(Z) if symmetry is None else symmetry
-    N, order = Z.ambient, Z.root_order
-    ncols = comb(N + d, N)
-    rows = (row for flat, mult in reps for row in component_rows(flat, mult, d))
-    blocks: dict[tuple, list] = {}
-    for col, beta in enumerate(graded_monomials(N + 1, d)):
-        blocks.setdefault(tuple(beta[i] % order for i in gens), []).append(col)
-    parts = [(Eliminator(len(cols), order), cols) for cols in blocks.values()]
-    for row in rows:
-        for elim, cols in parts:
-            if elim.rank < elim.ncols:  # a full block takes no more rows
-                part = [row[c] for c in cols]
-                if any(part):
-                    elim.add_field_row(part)
-    return Eliminator.join(parts, ncols, order)
+    g*p exactly when it does at p: each block needs only the rows of the
+    representatives, restricted to its columns.  So the joined block
+    pivots span the row space of the full condition matrix, with the same
+    rank, canonical RREF and kernel, and a form lies in (I_Z)_d exactly
+    when the rows annihilate each of its block parts."""
+
+    ncols: int
+    order: int
+    blocks: list
+    rows: list
+
+    @classmethod
+    def from_scheme(cls, Z: FatScheme, d: int, symmetry=None) -> "ConditionMatrix":
+        """Refused over MATRIX_BUDGET before any row is built; symmetry,
+        when given, is _symmetry(Z), which hilbert_function computes once."""
+        check_budget(Z, d)
+        gens, reps = _symmetry(Z) if symmetry is None else symmetry
+        N, order = Z.ambient, Z.root_order
+        blocks: dict[tuple, list] = {}
+        for col, beta in enumerate(graded_monomials(N + 1, d)):
+            blocks.setdefault(tuple(beta[i] % order for i in gens), []).append(col)
+        rows = [row for flat, mult in reps for row in component_rows(flat, mult, d)]
+        return cls(comb(N + d, N), order, list(blocks.values()), rows)
+
+    def eliminator(self) -> Eliminator:
+        """One Eliminator per block, fed each row's block part, joined."""
+        parts = [(Eliminator(len(cols), self.order), cols) for cols in self.blocks]
+        for row in self.rows:
+            for elim, cols in parts:
+                if elim.rank < elim.ncols:  # a full block takes no more rows
+                    part = [row[c] for c in cols]
+                    if any(part):
+                        elim.add_field_row(part)
+        return Eliminator.join(parts, self.ncols, self.order)
+
+    def contains(self, vec) -> bool:
+        """Whether the form with coefficient vector vec lies in (I_Z)_d: the
+        rows annihilate each block part of vec, dotted over its support."""
+        supports = [[c for c in cols if vec[c]] for cols in self.blocks]
+        return all(row_dot([row[c] for c in cols], [vec[c] for c in cols]).is_zero()
+                   for cols in supports if cols for row in self.rows)
 
 
 def system_dimension(Z: FatScheme, d: int) -> int:
     """Vector-space dimension of degree-d forms vanishing on Z with
     multiplicities."""
-    check_budget(Z, d)
-    elim = _scheme_eliminator(Z, d)
+    elim = ConditionMatrix.from_scheme(Z, d).eliminator()
     return elim.ncols - elim.rank
 
 
@@ -185,7 +184,8 @@ def hilbert_function(Z: FatScheme, d_max: int) -> list:
         raise ValueError("d_max must be >= 0")
     check_budget(Z, d_max)  # the largest of the matrices, refused up front
     symmetry = _symmetry(Z)
-    return [_scheme_eliminator(Z, d, symmetry).rank for d in range(d_max + 1)]
+    return [ConditionMatrix.from_scheme(Z, d, symmetry).eliminator().rank
+            for d in range(d_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def decide_unexpected(Z: FatScheme, X_template, d: int, trials: int = 3,
 
     conditions_X = sum(conditions_count(N, r, m, d) for r, m in template)
     check_budget(Z, d, conditions_X, trials)
-    base = _scheme_eliminator(Z, d)
+    base = ConditionMatrix.from_scheme(Z, d).eliminator()
     dim_Z = base.ncols - base.rank
 
     alt = None

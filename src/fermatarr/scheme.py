@@ -22,6 +22,7 @@ used as cross-checks against the first-principles construction.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from math import comb, lcm, perm
 
@@ -123,7 +124,7 @@ def parse_scheme(text: str) -> FatScheme:
                 if any(fl.ambient != ambient for fl in components):
                     raise ValueError("component ambient mismatch")
                 continue
-            if not line.startswith(("point", "flat")):
+            if not re.match(r"(point|flat)\b", line):
                 raise ValueError(f"unknown line kind {words[0]!r}: expected "
                                  f"'ambient N', 'point ...' or 'flat ...'")
             if "mult" not in line:
@@ -173,7 +174,8 @@ def conditions_count(N: int, r: int, m: int, d: int) -> int:
         raise ValueError("m must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
-    return sum(_binom(d - i + r, r) * _binom(N - r - 1 + i, i) for i in range(m))
+    return sum(_binom(d - i + r, r) * _binom(N - r - 1 + i, i)
+               for i in range(min(m, d + 1)))  # the terms i > d are 0
 
 
 def plane_point_count(m: int) -> int:

@@ -30,8 +30,9 @@ conditions_count_line and conditions_count_line_p3 are published closed
 forms for a fat line, which agree with conditions_count only from the
 threshold d >= m-1 on.
 
-rank_kernel eliminates a whole ConditionMatrix, with no symmetry blocks,
-and returns its kernel as polynomials.
+condition_rows is the full condition matrix of a scheme: every
+component's component_rows, with no symmetry blocks.  rank_kernel
+eliminates it in one piece and returns its kernel as polynomials.
 
 contains_flat, containing_hyperplanes and lattice_membership are the
 incidence queries of an arrangement's intersection lattice, by dot
@@ -50,7 +51,7 @@ from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.formulas import BuiltFormula
 from fermatarr.linalg import eliminate, kernel_of_rref, row_dot, rref
 from fermatarr.mpoly import MultiPoly, graded_monomials
-from fermatarr.scheme import named_configuration
+from fermatarr.scheme import component_rows, named_configuration
 
 
 def regular_block(value: CyclotomicNumber):
@@ -207,11 +208,17 @@ def conditions_count_line_p3(m: int, d: int) -> int:
     return comb(m + 1, 2) * (d + 1) - 2 * comb(m + 1, 3)
 
 
-def rank_kernel(mat):
-    """Exact rank and kernel basis (as polynomials) of a ConditionMatrix."""
-    elim = eliminate(mat.rows, mat.ncols, mat.order)
-    nvars = mat.ambient + 1
-    monos = graded_monomials(nvars, mat.degree)
+def condition_rows(Z, d: int) -> list:
+    """The degree-d condition rows of every component of Z, in Z's order."""
+    return [row for flat, mult in Z.components
+            for row in component_rows(flat, mult, d)]
+
+
+def rank_kernel(Z, d: int):
+    """Exact rank and kernel basis (as polynomials) of condition_rows(Z, d)."""
+    nvars = Z.ambient + 1
+    monos = graded_monomials(nvars, d)
+    elim = eliminate(condition_rows(Z, d), len(monos), Z.root_order)
     kernel = [MultiPoly(nvars, {m: c for m, c in zip(monos, vec) if c})
               for vec in kernel_basis(elim)]
     return elim.rank, kernel

@@ -8,8 +8,8 @@ import random
 import time
 from contextlib import contextmanager
 
-from helpers import (conditions_count_line, conditions_count_line_p3,
-                     lattice_membership, rank_kernel)
+from helpers import (condition_rows, conditions_count_line,
+                     conditions_count_line_p3, lattice_membership, rank_kernel)
 
 from fermatarr import (
     build_formula,
@@ -30,7 +30,7 @@ from fermatarr import (
 from fermatarr.arrange import Flat, GroupElement
 from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.formulas import fermat_family_curve, specialized_kernel_membership
-from fermatarr.interp import ConditionMatrix, random_flat
+from fermatarr.interp import random_flat
 from fermatarr.linalg import rank_of_field_rows, row_dot
 from fermatarr.mpoly import MultiPoly, graded_monomials
 from fermatarr.scheme import component_rows, conditions_count
@@ -269,11 +269,11 @@ def test_criterion_11_property_suites():
         for cid, d in (("B3_DUAL", 4), ("FERMAT_DUAL(3,2)", 5),
                        ("MULT4_POINTS(3)", 5), ("BMSS_P3", 4)):
             Z = named_configuration(cid).scheme
-            mat = ConditionMatrix.from_scheme(Z, d)
-            rank, kernel = rank_kernel(mat)
-            assert len(kernel) == mat.ncols - rank
+            rows = condition_rows(Z, d)
+            rank, kernel = rank_kernel(Z, d)
             monos = graded_monomials(Z.ambient + 1, d)
+            assert len(kernel) == len(monos) - rank
             for poly in kernel:
                 vec = poly.coeff_vector(monos)
-                for row in mat.rows:
+                for row in rows:
                     assert row_dot(row, vec).is_zero()

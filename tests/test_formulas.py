@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from helpers import b3_quartic, quintic_curve, sextic_curve
 
+from fermatarr import formulas, interp
 from fermatarr.formulas import (
     bmss_surface,
     build_formula,
@@ -23,7 +24,7 @@ from fermatarr.formulas import (
 from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.interp import decide_unexpected
 from fermatarr.mpoly import MultiPoly, parse_poly
-from fermatarr.scheme import named_configuration
+from fermatarr.scheme import component_rows, named_configuration
 
 
 def test_general_family_reproduces_the_fixed_equations():
@@ -192,6 +193,23 @@ def test_kernel_membership_of_specializations():
     # lines in the form's own space are a real verdict
     assert not specialized_kernel_membership(
         build_formula("BMSS"), named_configuration("LINES42"), seed=1)
+
+
+def test_kernel_membership_builds_only_the_representatives_rows(monkeypatch):
+    # MULT4_POINTS(6) has 39 points in 4 orbits: the membership check
+    # builds the rows of the 4 representatives and of the general point,
+    # never those of every point
+    form = build_formula("MULT4(6)")
+    Z = named_configuration(form.config_id).scheme
+    flats = []
+
+    def counted(flat, mult, d):
+        flats.append(flat)
+        return component_rows(flat, mult, d)
+    monkeypatch.setattr(interp, "component_rows", counted)
+    monkeypatch.setattr(formulas, "component_rows", counted)
+    assert specialized_kernel_membership(form)
+    assert len(flats) <= len(interp._symmetry(Z)[1]) + 1 < len(Z)
 
 
 def test_equal_up_to_scalar():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from helpers import kernel_basis, rank_kernel
+from helpers import condition_rows, kernel_basis, kernel_of_rows, rank_kernel
 
 from fermatarr import interp
 from fermatarr.arrange import Flat
@@ -18,9 +18,9 @@ from fermatarr.interp import (
     random_flat,
     system_dimension,
 )
-from fermatarr.linalg import Eliminator, eliminate
+from fermatarr.linalg import Eliminator, eliminate, row_dot
 from fermatarr.mpoly import graded_monomials, parse_point
-from fermatarr.scheme import FatScheme, named_configuration
+from fermatarr.scheme import FatScheme, component_rows, named_configuration
 
 B3 = named_configuration("B3_DUAL").scheme
 M3 = named_configuration("FERMAT_DUAL(3,2)").scheme
@@ -53,17 +53,22 @@ def test_hilbert_function_is_monotone_and_bounded():
 
 
 def test_condition_matrix_shape_and_provenance():
+    assert len(condition_rows(M3, 4)) == 11
     mat = ConditionMatrix.from_scheme(M3, 4)
     assert mat.ncols == len(graded_monomials(3, 4)) == 15
     assert mat.order == 3
-    assert len(mat.rows) == 11
+    # only the rows of the 5 orbit representatives, one per point
+    reps = interp._symmetry(M3)[1]
+    assert len(reps) == len(mat.rows) == 5
+    assert mat.rows == [row for flat, m in reps
+                        for row in component_rows(flat, m, 4)]
+    assert sorted(col for cols in mat.blocks for col in cols) == list(range(15))
 
 
 def test_kernel_polys_vanish_on_scheme():
-    mat = ConditionMatrix.from_scheme(M3, 4)
-    rank, kernel = rank_kernel(mat)
+    rank, kernel = rank_kernel(M3, 4)
     assert rank == 11
-    assert len(kernel) == mat.ncols - rank == 4
+    assert len(kernel) == len(graded_monomials(3, 4)) - rank == 4
     for poly in kernel:
         assert poly.is_homogeneous() and poly.degree() == 4
         for p in M3.points():
@@ -73,8 +78,7 @@ def test_kernel_polys_vanish_on_scheme():
 def test_kernel_of_fat_point_has_vanishing_derivatives():
     pt = Flat.from_point(parse_point("(1:-2:3)"))
     Z = FatScheme(2, [(pt, 3)])
-    mat = ConditionMatrix.from_scheme(Z, 4)
-    rank, kernel = rank_kernel(mat)
+    rank, kernel = rank_kernel(Z, 4)
     assert rank == 6
     coords = pt.point()
     # rows encode only the top-order partials; Euler forces the rest
@@ -88,9 +92,8 @@ def test_kernel_vanishes_on_positive_dimensional_flat():
     line = Flat.from_span([(1, 0, 0, 1), (0, 1, 2, 0)])
     pt = Flat.from_point(parse_point("(1:1:1:1)"))
     Z = FatScheme(3, [(line, 1), (pt, 1)])
-    mat = ConditionMatrix.from_scheme(Z, 3)
-    rank, kernel = rank_kernel(mat)
-    assert len(kernel) == mat.ncols - rank
+    rank, kernel = rank_kernel(Z, 3)
+    assert len(kernel) == len(graded_monomials(4, 3)) - rank
     basis = line.span_basis()
     matrix = [[basis[t][i] for t in range(2)] for i in range(4)]
     for poly in kernel:
@@ -221,16 +224,31 @@ BLOCK_CASES = ([("B3_DUAL", 5), ("BMSS_P3", 5), ("LINES42", 6), ("P5_MULTI", 3)]
 
 
 def _unblocked(Z, d):
-    mat = ConditionMatrix.from_scheme(Z, d)
-    return eliminate(mat.rows, mat.ncols, mat.order)
+    return eliminate(condition_rows(Z, d), len(graded_monomials(Z.ambient + 1, d)),
+                     Z.root_order)
 
 
 def _assert_blocks_match(Z, d_max, label):
+    """The blocked matrix against the full one: the same RREF, kernel and
+    ranks, and contains(v) as the full rows' verdict, on each kernel
+    vector, on each kernel vector plus one monomial, and on each kernel
+    vector of the representatives' rows, which only the split into blocks
+    tells from a form of (I_Z)_d."""
     ranks = []
     for d in range(d_max + 1):
-        blocked, plain = interp._scheme_eliminator(Z, d), _unblocked(Z, d)
+        mat = ConditionMatrix.from_scheme(Z, d)
+        blocked, plain = mat.eliminator(), _unblocked(Z, d)
         assert blocked.reduced() == plain.reduced(), (label, d)
-        assert kernel_basis(blocked) == kernel_basis(plain), (label, d)
+        kernel = kernel_basis(plain)
+        assert kernel_basis(blocked) == kernel, (label, d)
+        rows = condition_rows(Z, d)
+        shifted = [list(vec) for vec in kernel]
+        for k, vec in enumerate(shifted):
+            vec[k * 7 % mat.ncols] += 1
+        loose = kernel_of_rows(mat.rows, mat.ncols, mat.order)
+        for v in kernel + shifted + loose:
+            assert mat.contains(v) == all(row_dot(r, v).is_zero()
+                                          for r in rows), (label, d)
         ranks.append(plain.rank)
     assert hilbert_function(Z, d_max) == ranks, label
 

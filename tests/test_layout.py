@@ -14,6 +14,7 @@ another for the next run to find.
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -104,3 +105,17 @@ def test_every_cache_is_bounded():
     assert len(caches) >= 8  # the five in cyclo, one in mpoly, two in scheme
     assert [name for name, fn in caches.items()
             if fn.cache_info().maxsize is None] == []
+
+
+def test_every_traced_name_exists_where_the_tracer_patches_it():
+    # perfbench/tracing.py wraps each function by (owner, attribute name);
+    # a rename in src/ would otherwise surface only in a traced run
+    spec = importlib.util.spec_from_file_location("tracing",
+                                                  PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [site for table in (tracing.SPANS, tracing.COUNTERS)
+             for sites in table.values() for site in sites]
+    assert len(sites) > 20
+    assert [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in sites
+            if attr not in owner.__dict__] == []

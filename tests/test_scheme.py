@@ -4,14 +4,14 @@ import hashlib
 import random
 
 import pytest
-from helpers import (chart_rows, conditions_count_line, conditions_count_line_p3,
-                     field_rank_oracle, general_point_count)
+from helpers import (chart_rows, condition_rows, conditions_count_line,
+                     conditions_count_line_p3, field_rank_oracle,
+                     general_point_count)
 
 from fermatarr import linalg
 from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
-from fermatarr.interp import (ConditionMatrix, hilbert_function, random_flat,
-                              system_dimension)
+from fermatarr.interp import hilbert_function, random_flat, system_dimension
 from fermatarr.linalg import Eliminator, _field_row_to_int, rank_of_field_rows
 from fermatarr.mpoly import MultiPoly, graded_monomials, parse_point
 from fermatarr.scheme import (
@@ -157,7 +157,7 @@ def test_m3_generator_list_is_truncated():
             elim.add_field_row((g * MultiPoly(3, {mono: 1})).coeff_vector(cols))
     assert elim.add_field_row(missing.coeff_vector(cols))  # novel direction
     # yet it lies in the ideal: appending it to the condition rows' kernel test
-    rows = ConditionMatrix.from_scheme(cfg.scheme, 5).rows
+    rows = condition_rows(cfg.scheme, 5)
     mat_rank = rank_of_field_rows(rows, len(cols), cfg.scheme.root_order)
     assert len(cols) - mat_rank == 10
     from fermatarr.linalg import row_dot
@@ -215,6 +215,12 @@ def test_conditions_count_validates_inputs():
         conditions_count(3, 1, 0, 5)
     with pytest.raises(ValueError):
         conditions_count(3, 1, 2, -1)
+
+
+def test_conditions_count_of_a_huge_multiplicity_is_immediate():
+    # a point of multiplicity m > d takes every degree-d form: only the
+    # terms i <= d are summed, so m = 10**12 costs no more than m = d + 1
+    assert conditions_count(2, 0, 10**12, 4) == 15 == conditions_count(2, 0, 5, 4)
 
 
 # -- condition rows ----------------------------------------------------------
@@ -393,8 +399,7 @@ def test_configuration_with_fat_point_matches_blowup_oracle(cid, d, m, rank):
     # one realistic-size system per phi, up to 36 columns and 38 rows
     cfg = named_configuration(cid)
     point = random_flat(random.Random(5), 2, 0)
-    rows = ConditionMatrix.from_scheme(cfg.scheme, d).rows \
-        + component_rows(point, m, d)
+    rows = condition_rows(cfg.scheme, d) + component_rows(point, m, d)
     ncols = len(graded_monomials(3, d))
     order = cfg.scheme.root_order
     assert rank_of_field_rows(rows, ncols, order) \
@@ -458,8 +463,12 @@ def test_scheme_parse_errors_carry_line_numbers():
         parse_scheme("flat { eq: x0 } mult 1\n")
     with pytest.raises(ValueError):
         parse_scheme("")
-    with pytest.raises(ValueError, match="scheme line 2"):
-        parse_scheme("ambient 2\nblob (1:2:3) mult 1\n")
+    for text in ("ambient 2\nblob (1:2:3) mult 1\n",
+                 "ambient 2\npointfoo (1:2:3) mult 1\n",
+                 "ambient 2\nflatx { eq: x0 } mult 1\n"):
+        with pytest.raises(ValueError, match="scheme line 2: unknown line kind"):
+            parse_scheme(text)
+    assert len(parse_scheme("ambient 2\npoint(1:2:3) mult 1\n")) == 1
     with pytest.raises(ValueError, match="scheme line 1: expected 'ambient N'"):
         parse_scheme("ambient\npoint (1:2:3) mult 1\n")
     with pytest.raises(ValueError, match="scheme line 2: .*'mult M'"):
