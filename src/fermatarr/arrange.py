@@ -284,10 +284,11 @@ class Flat:
     covector (c0, ..., cN) annihilating the flat.  dim is the projective
     dimension: N - len(equations).  order is the common_order of the
     equations, 1 for a flat defined over Q, and every entry is stored at
-    that order.  The span basis is computed once, on first use.
+    that order.  The span basis and the hash are computed once, on first
+    use: hashing the equations hashes each entry at its smallest field.
     """
 
-    __slots__ = ("equations", "dim", "order", "_span")
+    __slots__ = ("equations", "dim", "order", "_span", "_hash")
 
     def __init__(self, equations, ambient: int, _canonical=False):
         if not _canonical:
@@ -298,6 +299,7 @@ class Flat:
         object.__setattr__(self, "dim", ambient - len(equations))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_span", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Flat is immutable")
@@ -331,6 +333,8 @@ class Flat:
         if not vecs:
             raise ValueError("span needs at least one vector")
         ncols = len(vecs[0])
+        if any(len(v) != ncols for v in vecs):
+            raise ValueError("span vectors must share a length")
         order = common_order(v for vec in vecs for v in vec)
         _, red = rref(vecs, ncols, order)
         if not red:
@@ -384,7 +388,9 @@ class Flat:
         return self.equations == other.equations
 
     def __hash__(self):
-        return hash(self.equations)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.equations))
+        return self._hash
 
     def __repr__(self):
         eqs = "; ".join(str(p) for p in self.equation_polys())

@@ -8,8 +8,9 @@ order.  A pivot row is kept as its nonzero entries and applied through
 them alone; the working row is scaled only when the pivot's lead does
 not divide the entry it clears, which a lead of 1 always does.  The rank
 is read off the accepted rows, the canonical RREF over Q(e_n) comes from
-back-substituting them (Eliminator.reduced, rref), and every kernel is
-built from that RREF, one vector per free column.  Rows may mix ints and
+back-substituting them (Eliminator.reduced; rref returns rows already
+in that form as they stand), and every kernel is built from that RREF,
+one vector per free column.  Rows may mix ints and
 Fractions with CyclotomicNumbers: the condition rows of a rational flat
 are int-valued, those of a cyclotomic flat hold ints beside
 CyclotomicNumbers.  Row scaling never changes rank or kernel.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import compress, count, islice
 
-from .cyclo import CyclotomicNumber, euler_phi, power_table
+from .cyclo import CyclotomicNumber, as_field, euler_phi, power_table
 
 _STRIP_EVERY = 8  # a working row loses its content after every 8th scaling
 
@@ -41,9 +42,35 @@ def rref(rows, ncols: int, order: int):
 
     Returns (pivot_cols, rref_rows) with unit pivots and zeros above and
     below, rows sorted by pivot column.  The result is canonical for the
-    row space, so it doubles as a structural key for flats.
+    row space, so it doubles as a structural key for flats.  Rows that
+    already are that form (a single hyperplane's form led by 1, a point
+    whose last nonzero coordinate is 1, an RREF fed back) come back as
+    they stand, with their entries at order; any others are eliminated.
     """
-    return eliminate(rows, ncols, order).reduced()
+    rows = list(rows)
+    leads = _canonical_leads(rows, ncols)
+    if leads is None:
+        return eliminate(rows, ncols, order).reduced()
+    return leads, [tuple(as_field(v, order) for v in row) for row in rows]
+
+
+def _canonical_leads(rows, ncols: int):
+    """The lead columns of rows in canonical RREF, or None if they are not:
+    each row of width ncols is led by a 1, the leads increase, and every
+    other row is 0 in each lead column."""
+    leads = []
+    for row in rows:
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if (len(row) != ncols or lead is None or row[lead] != 1
+                or (leads and lead <= leads[-1])):
+            return None
+        leads.append(lead)
+    # a row is 0 before its lead, so only the rows above a lead can hold
+    # a nonzero entry in its column
+    for i, lead in enumerate(leads):
+        if any(row[lead] for row in rows[:i]):
+            return None
+    return leads
 
 
 def kernel_of_rref(red, ncols: int, order: int):

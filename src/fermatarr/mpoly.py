@@ -198,13 +198,6 @@ class MultiPoly:
                 out = out.partial(i)
         return out
 
-    def evaluate(self, coords) -> CyclotomicNumber:
-        coords = list(coords)
-        if len(coords) != self.nvars:
-            raise ValueError("coordinate count mismatch")
-        value = self.partial_evaluate(dict(enumerate(coords)))
-        return value.terms.get((0,) * self.nvars, _ZERO)
-
     def partial_evaluate(self, assign: dict) -> "MultiPoly":
         """Substitute constants for some variables, keeping nvars fixed.
 

@@ -375,17 +375,29 @@ def component_rows(flat: Flat, mult: int, d: int):
 # Named configurations
 
 class NamedConfig:
-    """A scheme from the catalogue plus its published ideal generators."""
+    """A scheme from the catalogue plus its published ideal generators.
 
-    __slots__ = ("id", "scheme", "published_generators")
+    Unless they are given, the generators are those _GENERATORS lists for
+    the id, parsed the first time published_generators is read."""
 
-    def __init__(self, id: str, scheme: FatScheme, published_generators=()):
+    __slots__ = ("id", "scheme", "_generators")
+
+    def __init__(self, id: str, scheme: FatScheme, published_generators=None):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "published_generators", tuple(published_generators))
+        object.__setattr__(self, "_generators", None if published_generators is None
+                           else tuple(published_generators))
 
     def __setattr__(self, name, value):
         raise AttributeError("NamedConfig is immutable")
+
+    @property
+    def published_generators(self) -> tuple:
+        if self._generators is None:
+            names = default_names(self.scheme.ambient + 1)
+            object.__setattr__(self, "_generators", tuple(
+                parse_poly(t, names) for t in _GENERATORS.get(self.id, ())))
+        return self._generators
 
     def __repr__(self):
         return f"NamedConfig({self.id})"
@@ -430,14 +442,11 @@ def _derived_scheme(N: int, n: int, t: int, min_hyperplanes: int) -> FatScheme:
     return FatScheme(N, [(fl, 1) for fl in flats])
 
 
-def _parse_generators(texts, nvars: int):
-    names = default_names(nvars)
-    return tuple(parse_poly(t, names) for t in texts)
-
-
 def _unit_points(N: int) -> list:
     """The N+1 coordinate points of P^N and the 3^N points
-    (1 : e(3)^a1 : ... : e(3)^aN)."""
+    (1 : e(3)^a1 : ... : e(3)^aN).  For N = 3 they are the 31 points of
+    BMSS_P3, on which verify_published_generators checks that its 8
+    published quartics vanish."""
     powers = [CyclotomicNumber.root(3) ** a for a in range(3)]
     points = [tuple(_ONE if j == i else _ZERO for j in range(N + 1))
               for i in range(N + 1)]
@@ -452,14 +461,6 @@ def _fermat_dual(m: int, k: int) -> FatScheme:
     return _points_scheme(dual_points(fermat_arrangement(2, m, k - 1)), 2)
 
 
-def _bmss() -> FatScheme:
-    """The published binomial generators are authoritative: of the unit
-    points of P^3, the scheme keeps those on which they all vanish."""
-    gens = _parse_generators(_GENERATORS["BMSS_P3"], 4)
-    return _points_scheme([p for p in _unit_points(3)
-                           if all(g.evaluate(p).is_zero() for g in gens)], 3)
-
-
 def _mult4_points(n: int) -> FatScheme:
     if n < 3:
         raise ValueError("MULT4_POINTS requires n >= 3")
@@ -470,7 +471,7 @@ def _mult4_points(n: int) -> FatScheme:
 _CATALOGUE = {
     "B3_DUAL": (0, lambda: _fermat_dual(2, 3)),
     "FERMAT_DUAL": (2, _fermat_dual),
-    "BMSS_P3": (0, _bmss),
+    "BMSS_P3": (0, lambda: _points_scheme(_unit_points(3), 3)),
     "P5_MULTI": (0, lambda: _points_scheme(_unit_points(5), 5)),
     "LINES42": (0, lambda: _derived_scheme(3, 3, 1, 3)),
     "MULT4_POINTS": (1, _mult4_points),
@@ -485,9 +486,7 @@ def named_configuration(spec: str) -> NamedConfig:
     if arity != len(params):
         raise ValueError(f"unknown configuration id {spec!r}")
     cid = f"{head}({','.join(map(str, params))})" if params else head
-    scheme = build(*params)
-    gens = _parse_generators(_GENERATORS.get(cid, ()), scheme.ambient + 1)
-    return NamedConfig(cid, scheme, gens)
+    return NamedConfig(cid, build(*params))
 
 
 def verify_published_generators(cfg: NamedConfig) -> bool:

@@ -34,6 +34,9 @@ condition_rows is the full condition matrix of a scheme: every
 component's component_rows, with no symmetry blocks.  rank_kernel
 eliminates it in one piece and returns its kernel as polynomials.
 
+evaluate is the value of a polynomial at a point, through
+MultiPoly.partial_evaluate of every variable.
+
 contains_flat, containing_hyperplanes and lattice_membership are the
 incidence queries of an arrangement's intersection lattice, by dot
 products of equations with span bases.
@@ -222,6 +225,13 @@ def rank_kernel(Z, d: int):
     kernel = [MultiPoly(nvars, {m: c for m, c in zip(monos, vec) if c})
               for vec in kernel_basis(elim)]
     return elim.rank, kernel
+
+
+def evaluate(poly: MultiPoly, coords) -> CyclotomicNumber:
+    coords = list(coords)
+    assert len(coords) == poly.nvars
+    value = poly.partial_evaluate(dict(enumerate(coords)))
+    return value.terms.get((0,) * poly.nvars, CyclotomicNumber.zero())
 
 
 def contains_flat(outer: Flat, inner: Flat) -> bool:

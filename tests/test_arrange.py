@@ -205,6 +205,13 @@ def test_flat_span_equation_round_trip():
         assert contains_flat(fl, Flat.from_point(vec))
 
 
+def test_flats_refuse_rows_of_different_lengths():
+    with pytest.raises(ValueError, match="must share a length"):
+        Flat.from_span([(1, 2, 3), (1, 2)])
+    with pytest.raises(ValueError, match="must share a length"):
+        Flat.from_equations([(1, 2, 3), (1, 2)])
+
+
 def test_point_flat_round_trip():
     fl = Flat.from_point(parse_point("(2:-1:4)"))
     assert fl.dim == 0

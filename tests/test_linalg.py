@@ -7,9 +7,11 @@ from fractions import Fraction
 from helpers import (field_rank_oracle, field_rref_oracle, kernel_basis,
                      kernel_of_rows)
 
+from fermatarr import linalg
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.linalg import (
     Eliminator,
+    eliminate,
     rank_of_field_rows,
     row_dot,
     rref,
@@ -330,3 +332,84 @@ def test_mixed_int_and_cyclotomic_rows_match_field_rows():
             assert whole.add_field_row(field_row) == part.add_field_row(mixed_row)
         assert part.rank == whole.rank == field_rank_oracle(rows, order) == 5
         assert kernel_basis(part) == kernel_basis(whole)
+
+
+def _entry(rng, order):
+    """A random nonzero int, Fraction or CyclotomicNumber of Q(e_order),
+    the last stored at order or at one of its divisors."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice((-3, -2, -1, 1, 2, 5))
+    if kind == 1:
+        return Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(2, 5))
+    sub = rng.choice([d for d in range(1, order + 1) if order % d == 0])
+    while True:
+        v = CyclotomicNumber(sub, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                   for _ in range(euler_phi(sub))])
+        if v:
+            return v
+
+
+def _canonical_set(rng, ncols, order):
+    """Rows in canonical RREF: a unit lead (an int, a Fraction or a
+    CyclotomicNumber), zeros before it and in the other lead columns."""
+    leads = sorted(rng.sample(range(ncols), rng.randint(1, ncols - 1)))
+    one = (1, Fraction(1), CyclotomicNumber.one(order), CyclotomicNumber.one())
+    zero = (0, Fraction(0), CyclotomicNumber.zero(order))
+    rows = []
+    for lead in leads:
+        row = [rng.choice(zero) for _ in range(ncols)]
+        row[lead] = rng.choice(one)
+        for c in range(lead + 1, ncols):
+            if c not in leads and rng.random() < 0.7:
+                row[c] = _entry(rng, order)
+        rows.append(row)
+    return leads, rows
+
+
+def _stored(result):
+    leads, rows = result
+    return leads, [[(v.order, v.num, v.den) for v in row] for row in rows]
+
+
+def test_rref_keeps_canonical_rows_and_matches_the_eliminator(monkeypatch):
+    # rows already in canonical RREF come back as they stand; a near miss
+    # (a row scaled, rows out of lead order, a nonzero entry in another
+    # row's lead column, a zero row) is eliminated; either way rref is
+    # the Eliminator's reduced() entry for entry
+    rng = random.Random(20)
+    real = linalg.eliminate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(linalg, "eliminate", counted)
+    for order in (1, 2, 3, 4, 5, 6, 8, 12):
+        root = CyclotomicNumber.root(order)
+        for _ in range(12):
+            ncols = rng.randint(2, 6)
+            leads, rows = _canonical_set(rng, ncols, order)
+            misses = []
+            i = rng.randrange(len(rows))
+            scale = 2 if order == 1 or rng.random() < 0.5 else root
+            misses.append(rows[:i] + [[v * scale for v in rows[i]]] + rows[i + 1:])
+            if len(rows) > 1:
+                i, j = sorted(rng.sample(range(len(rows)), 2))
+                misses.append(rows[:i] + [rows[j]] + rows[i + 1:j] + [rows[i]]
+                              + rows[j + 1:])
+                dirty = [list(row) for row in rows]
+                dirty[i][leads[j]] = _entry(rng, order)
+                misses.append(dirty)
+            i = rng.randint(0, len(rows))
+            misses.append(rows[:i] + [[0] * ncols] + rows[i:])
+            for case, expect_eliminated in [(rows, False)] + [(m, True) for m in misses]:
+                want = _stored(real(case, ncols, order).reduced())
+                del calls[:]
+                assert _stored(rref(case, ncols, order)) == want
+                assert bool(calls) == expect_eliminated
+            assert rref(rows, ncols, order)[0] == leads
+        # random dense sets are eliminated too, and agree likewise
+        rows = [[_entry(rng, order) if rng.random() < 0.7 else 0
+                 for _ in range(5)] for _ in range(3)]
+        assert _stored(rref(rows, 5, order)) == _stored(eliminate(rows, 5, order).reduced())

@@ -9,6 +9,7 @@ from helpers import (chart_rows, condition_rows, conditions_count_line,
                      general_point_count)
 
 from fermatarr import linalg
+from fermatarr import scheme as scheme_module
 from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.interp import hilbert_function, random_flat, system_dimension
@@ -82,6 +83,35 @@ def test_bmss_contains_all_four_coordinate_points():
     pts = set(cfg.scheme.points())
     for s in ("(1:0:0:0)", "(0:1:0:0)", "(0:0:1:0)", "(0:0:0:1)"):
         assert parse_point(s) in pts
+
+
+def test_bmss_is_the_unit_points_of_p3_in_order():
+    # the 4 coordinate points, then (1 : w^a : w^b : w^c) for w = e(3)
+    # and (a, b, c) in lexicographic order: 31 points
+    w = CyclotomicNumber.root(3)
+    points = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    points += [(1, w ** a, w ** b, w ** c)
+               for a in range(3) for b in range(3) for c in range(3)]
+    cfg = named_configuration("BMSS_P3")
+    assert cfg.scheme.components == tuple((Flat.from_point(p), 1) for p in points)
+
+
+def test_published_generators_are_parsed_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    real = scheme_module.parse_poly
+    monkeypatch.setattr(scheme_module, "parse_poly", counted)
+    for cid, count in (("FERMAT_DUAL(3,2)", 3), ("BMSS_P3", 8), ("LINES42", 6)):
+        cfg = named_configuration(cid)
+        assert not calls
+        gens = cfg.published_generators
+        assert len(gens) == len(calls) == count
+        assert cfg.published_generators is gens  # parsed once
+        assert verify_published_generators(cfg)
+        del calls[:]
 
 
 def test_published_generators_vanish():
