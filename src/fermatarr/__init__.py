@@ -27,7 +27,6 @@ from .formulas import (
     verify_family,
 )
 from .interp import (
-    ConditionMatrix,
     UnexpectednessReport,
     decide_unexpected,
     hilbert_function,
@@ -35,6 +34,7 @@ from .interp import (
 )
 from .mpoly import MultiPoly, format_point, parse_point, parse_poly
 from .scheme import (
+    ConditionMatrix,
     FatScheme,
     conditions_count,
     format_scheme,

@@ -26,7 +26,7 @@ _ONE = CyclotomicNumber.one()
 GROUP_ORDER_CAP = 100_000
 
 # The bound on the flats one arrangement id builds, the sibling of
-# interp.MATRIX_BUDGET, checked from closed forms before any flat is made.
+# scheme.MATRIX_BUDGET, checked from closed forms before any flat is made.
 # Each flat is the RREF of a few equation rows over Q(e_n) in P^N, and the
 # Eliminator holds one such row as phi(n) rational rows of (N+1)*phi(n)
 # entries; a build may hold at most FLAT_BUDGET of those entries over all

@@ -15,10 +15,10 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .arrange import derived_flats, dual_points, format_spec, parse_spec
+from .arrange import (BudgetError, derived_flats, dual_points, format_spec,
+                      parse_spec)
 from .formulas import build_formula, verify_family
-from .interp import (BudgetError, decide_unexpected, hilbert_function,
-                     system_dimension)
+from .interp import decide_unexpected, hilbert_function, system_dimension
 from .mpoly import format_point
 from .render import (DEFAULT_GRID, DEFAULT_VIEWPORT, real_line_coefficients,
                      render_svg)

@@ -5,10 +5,12 @@ coordinates of the general point come first (a, b, c and, for the space
 family, d), the ambient coordinates after them.  Verification is symbolic
 throughout: vanishing on a configuration, the vanishing order at the
 general point, and fat-ideal membership are exact polynomial identities,
-never sampled.  The one numeric bridge is `specialized_kernel_membership`,
-which pins the general point to random rational coordinates and checks
-that the fat point's condition rows annihilate the resulting coefficient
-vector and that the configuration's ConditionMatrix contains it.
+never sampled; vanishing is checked on each coefficient form in the
+ambient coordinates, points and flats alike.  The one numeric bridge is
+`specialized_kernel_membership`, which pins the general point to random
+rational coordinates and checks that the fat point's condition rows
+annihilate the resulting coefficient vector and that the configuration's
+ConditionMatrix contains it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from fractions import Fraction
 
 from .arrange import Flat, check_flat_budget, parse_id
 from .cyclo import as_field, common_order
-from .interp import ConditionMatrix, UnexpectednessReport, decide_unexpected
+from .interp import UnexpectednessReport, decide_unexpected
 from .linalg import row_dot
 from .mpoly import MultiPoly, graded_monomials
-from .scheme import NamedConfig, component_rows, named_configuration
+from .scheme import (ConditionMatrix, NamedConfig, component_rows, forms_vanish,
+                     named_configuration)
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ def build_formula(family: str) -> BuiltFormula:
     """Look up a closed form by family id: B3, M3, M4, GEN(m), BMSS or
     MULT4(n)."""
     head, params = parse_id(family, "family")
-    if head == "P5":
+    if head == "P5" and not params:
         raise ValueError("the P5 family is existence-only; no closed form")
     arity, build = _FAMILIES.get(head, (None, None))
     if arity != len(params):
@@ -210,21 +213,16 @@ def _configuration(form: BuiltFormula,
 
 def symbolic_vanishing_on_Z(form: BuiltFormula,
                             config: NamedConfig | None = None) -> bool:
-    """Exact identity: substituting each configuration point into the
-    ambient coordinates leaves the zero polynomial in the point variables.
-
-    Raises ValueError when the configuration is not a point set in the
-    form's ambient space, which this check would otherwise pass unread."""
+    """Exact identity in the point variables: F(a; x) vanishes on the
+    configuration for every a exactly when each of its coefficient forms,
+    one form in x per monomial in a, does, which forms_vanish checks."""
     cfg = _configuration(form, config)
-    scheme = cfg.scheme
-    if any(flat.dim for flat, _ in scheme.components):
-        raise ValueError(f"{cfg.id} has a component that is not a point")
     np_ = form.npoint
-    for pt in scheme.points():
-        assign = {np_ + i: v for i, v in enumerate(pt)}
-        if not form.poly.partial_evaluate(assign).is_zero():
-            return False
-    return True
+    coefficients: dict[tuple, dict] = {}
+    for e, c in form.poly.terms.items():
+        coefficients.setdefault(e[:np_], {})[e[np_:]] = c
+    return forms_vanish(cfg.scheme, [MultiPoly(form.ncoord, terms)
+                                     for terms in coefficients.values()])
 
 
 def _lower_indices(beta: tuple[int, ...], t: int) -> list:

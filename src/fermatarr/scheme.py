@@ -15,6 +15,11 @@ falling-factorial scales of the partials depend only on the number of
 variables, the derivative order and the degree, so one bounded cache
 holds them for every component, degree and trial.
 
+A ConditionMatrix holds the degree-d conditions of a scheme in the
+character blocks of its diagonal roots-of-unity symmetries; it gives the
+rank, RREF and kernel of the full matrix, and membership in (I_Z)_d, the
+one test that a form vanishes on a scheme.
+
 Named configurations ship the published ideal generators where available,
 used as cross-checks against the first-principles construction.
 """
@@ -23,13 +28,14 @@ from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lcm, perm
 
-from .arrange import (Flat, check_flat_budget, derived_flats, dual_points,
-                      fermat_arrangement, parse_id)
+from .arrange import (BudgetError, Flat, check_flat_budget, derived_flats,
+                      dual_points, fermat_arrangement, parse_id)
 from .cyclo import CyclotomicNumber, euler_phi
-from .linalg import _field_row_to_int
+from .linalg import Eliminator, _field_row_to_int, row_dot
 from .mpoly import (MultiPoly, default_names, format_point, graded_monomials,
                     parse_point, parse_poly)
 
@@ -40,7 +46,7 @@ _ONE = CyclotomicNumber.one()
 class FatScheme:
     """Mutually distinct flats in P^N with positive multiplicities."""
 
-    __slots__ = ("ambient", "components", "root_order")
+    __slots__ = ("ambient", "components", "root_order", "_group")
 
     def __init__(self, ambient: int, components):
         if ambient < 1:
@@ -53,6 +59,7 @@ class FatScheme:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "components", tuple(comps.items()))
         object.__setattr__(self, "root_order", lcm(*(fl.order for fl in comps)))
+        object.__setattr__(self, "_group", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FatScheme is immutable")
@@ -60,9 +67,11 @@ class FatScheme:
     def __len__(self):
         return len(self.components)
 
-    def points(self):
-        """The coordinate tuples of the 0-dimensional components."""
-        return [fl.point() for fl, _ in self.components if fl.dim == 0]
+    def symmetry(self):
+        """_symmetry of the scheme, (gens, reps), computed once, on first use."""
+        if self._group is None:
+            object.__setattr__(self, "_group", _symmetry(self))
+        return self._group
 
     def __repr__(self):
         return f"FatScheme(ambient={self.ambient}, {len(self)} components)"
@@ -98,11 +107,7 @@ def format_scheme(scheme: FatScheme) -> str:
 def _linear_coefficients(poly: MultiPoly):
     if poly.is_zero() or poly.degree() != 1 or not poly.is_homogeneous():
         raise ValueError(f"not a linear form: {poly}")
-    coeffs = []
-    for i in range(poly.nvars):
-        expo = tuple(1 if j == i else 0 for j in range(poly.nvars))
-        coeffs.append(poly.terms.get(expo, _ZERO))
-    return tuple(coeffs)
+    return poly.coeff_vector(graded_monomials(poly.nvars, 1))
 
 
 def parse_scheme(text: str) -> FatScheme:
@@ -130,7 +135,11 @@ def parse_scheme(text: str) -> FatScheme:
             if "mult" not in line:
                 raise ValueError("expected a component line ending in 'mult M'")
             body, mult_text = line.rsplit("mult", 1)
-            mult = int(mult_text)
+            try:
+                mult = int(mult_text)
+            except ValueError:
+                raise ValueError(f"bad multiplicity {mult_text.strip()!r}: "
+                                 f"expected 'mult M'") from None
             body = body.strip()
             if body.startswith("point"):
                 pt = parse_point(body[len("point"):].strip())
@@ -372,6 +381,168 @@ def component_rows(flat: Flat, mult: int, d: int):
 
 
 # ---------------------------------------------------------------------------
+# Condition matrices
+
+# The one bound on the size of an elimination, checked before any row is
+# built: at most MATRIX_BUDGET monomial columns C(N+d, N), and at most
+# MATRIX_BUDGET rational entries rows x columns x phi, over every trial of
+# a decision.  The largest matrices of the test suite and the benchmark
+# hold under 10**6 entries.  arrange.FLAT_BUDGET is its sibling for the
+# flats an arrangement id builds.
+MATRIX_BUDGET = 10**8
+
+
+def check_budget(Z: FatScheme, d: int, extra_rows: int = 0,
+                 trials: int = 1) -> None:
+    """Refuse the degree-d condition matrix of Z, with extra_rows more
+    rows, or trials such matrices, if they exceed MATRIX_BUDGET; the sizes
+    are counted, not built."""
+    N = Z.ambient
+    ncols = comb(N + d, N)
+    nrows = extra_rows + sum(conditions_count(N, flat.dim, m, d)
+                             for flat, m in Z.components)
+    phi = euler_phi(Z.root_order)
+    if max(ncols, trials * nrows * ncols * phi) > MATRIX_BUDGET:
+        each = f"{trials} trials x " if trials > 1 else ""
+        raise BudgetError(
+            f"degree {d} on P^{N} needs {each}{nrows} rows x {ncols} columns "
+            f"x phi {phi}, over the matrix budget MATRIX_BUDGET = "
+            f"{MATRIX_BUDGET} (columns, and {each and 'trials x '}rows x "
+            f"columns x phi)")
+
+
+def _key(rows) -> tuple:
+    """An exact key of equation rows whose entries share one order."""
+    return tuple((c.num, c.den) for row in rows for c in row)
+
+
+def _symmetry(Z: FatScheme):
+    """(gens, reps): the coordinates i in 1..N whose generator g_i =
+    diag(1, ..., e(n) at i, ..., 1), n = Z.root_order, maps the components
+    of Z to themselves with their multiplicities, and one component per
+    orbit of the group they generate, the first of each in Z's order.
+
+    g_i moves a flat through its equations: a row r becomes r_j * s_lead
+    / s_j for the diagonal s of g_i.  The zero pattern stays, and so does
+    each lead 1, so the rows are still the canonical RREF of the image,
+    looked up by its exact key at order n.  A scheme of root order 1 has
+    only the trivial group."""
+    comps, n = Z.components, Z.root_order
+    if n == 1:
+        return (), comps
+    w, w_inv = CyclotomicNumber.root(n), CyclotomicNumber.root(n, -1)
+    lifted = [[[c.lift(n) for c in row] for row in flat.equations]
+              for flat, _ in comps]
+    index = {_key(rows): k for k, rows in enumerate(lifted)}
+    gens, perms = [], []
+    for i in range(1, Z.ambient + 1):
+        perm = []
+        for rows, (_, mult) in zip(lifted, comps):
+            image = []
+            for row in rows:
+                if next(j for j, c in enumerate(row) if c) == i:
+                    row = [c * w if c and j != i else c
+                           for j, c in enumerate(row)]
+                elif row[i]:
+                    row = row[:i] + [row[i] * w_inv] + row[i + 1:]
+                image.append(row)
+            k = index.get(_key(image))
+            if k is None or comps[k][1] != mult:
+                break
+            perm.append(k)
+        else:
+            gens.append(i)
+            perms.append(perm)
+    seen = [False] * len(comps)
+    reps = []
+    for start in range(len(comps)):
+        if seen[start]:
+            continue
+        reps.append(comps[start])
+        seen[start] = True
+        stack = [start]
+        while stack:
+            k = stack.pop()
+            for perm in perms:
+                if not seen[perm[k]]:
+                    seen[perm[k]] = True
+                    stack.append(perm[k])
+    return tuple(gens), tuple(reps)
+
+
+@dataclass(frozen=True)
+class ConditionMatrix:
+    """The degree-d conditions of a fat scheme Z: ncols monomial columns in
+    graded lex order, split into blocks by character, and the rows over
+    Q(e_order) of one component per orbit of Z.symmetry().
+
+    (I_Z)_d is stable under the group G of the generators, so it is the
+    direct sum of its parts in the character blocks: the spans of the
+    monomials x^beta with one key (beta_i mod n over the generators i).
+    For f in a block, g*f is a multiple of f, so f vanishes to order m at
+    g*p exactly when it does at p: each block needs only the rows of the
+    representatives, restricted to its columns.  So the joined block
+    pivots span the row space of the full condition matrix, with the same
+    rank, canonical RREF and kernel, and a form lies in (I_Z)_d exactly
+    when the rows annihilate each of its block parts."""
+
+    ncols: int
+    order: int
+    blocks: list
+    rows: list
+
+    @classmethod
+    def from_scheme(cls, Z: FatScheme, d: int) -> "ConditionMatrix":
+        """Refused over MATRIX_BUDGET before any row is built."""
+        check_budget(Z, d)
+        gens, reps = Z.symmetry()
+        N, order = Z.ambient, Z.root_order
+        blocks: dict[tuple, list] = {}
+        for col, beta in enumerate(graded_monomials(N + 1, d)):
+            blocks.setdefault(tuple(beta[i] % order for i in gens), []).append(col)
+        rows = [row for flat, mult in reps for row in component_rows(flat, mult, d)]
+        return cls(comb(N + d, N), order, list(blocks.values()), rows)
+
+    def eliminator(self) -> Eliminator:
+        """One Eliminator per block, fed each row's block part, joined."""
+        parts = [(Eliminator(len(cols), self.order), cols) for cols in self.blocks]
+        for row in self.rows:
+            for elim, cols in parts:
+                if elim.rank < elim.ncols:  # a full block takes no more rows
+                    part = [row[c] for c in cols]
+                    if any(part):
+                        elim.add_field_row(part)
+        return Eliminator.join(parts, self.ncols, self.order)
+
+    def contains(self, vec) -> bool:
+        """Whether the form with coefficient vector vec lies in (I_Z)_d: the
+        rows annihilate each block part of vec, dotted over its support."""
+        supports = [[c for c in cols if vec[c]] for cols in self.blocks]
+        return all(row_dot([row[c] for c in cols], [vec[c] for c in cols]).is_zero()
+                   for cols in supports if cols for row in self.rows)
+
+
+def forms_vanish(Z: FatScheme, forms) -> bool:
+    """Whether every form in x0..xN vanishes on the support of Z, its flats
+    at multiplicity 1: each homogeneous part, of degree D, must lie in
+    (I_support)_D, by the contains of one ConditionMatrix per degree."""
+    if any(mult != 1 for _, mult in Z.components):
+        Z = FatScheme(Z.ambient, [(flat, 1) for flat, _ in Z.components])
+    matrices: dict[int, ConditionMatrix] = {}
+    for form in forms:
+        parts: dict[int, dict] = {}
+        for e, c in form.terms.items():
+            parts.setdefault(sum(e), {})[e] = c
+        for deg, part in parts.items():
+            if deg not in matrices:
+                matrices[deg] = ConditionMatrix.from_scheme(Z, deg)
+            vec = [part.get(mono, 0) for mono in graded_monomials(Z.ambient + 1, deg)]
+            if not matrices[deg].contains(vec):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Named configurations
 
 class NamedConfig:
@@ -491,33 +662,7 @@ def named_configuration(spec: str) -> NamedConfig:
 
 def verify_published_generators(cfg: NamedConfig) -> bool:
     """True iff every published generator vanishes identically on every
-    component flat.
-
-    A form of degree D vanishes on a flat exactly when its coefficient
-    vector over graded_monomials(N+1, D) is orthogonal to every row of
-    component_rows(flat, 1, D), the coefficients of its restriction to the
-    flat; a point is the one-parameter case.  Each homogeneous part of a
-    generator is checked against the rows of its degree, computed once per
-    flat and degree, with a dot product over the part's support only.
-    """
+    component flat, checked by forms_vanish."""
     if not cfg.published_generators:
         raise ValueError(f"{cfg.id} has no published generators")
-    nvars = cfg.scheme.ambient + 1
-    # by_degree[D]: the degree-D part of each generator that has one, as
-    # (column in graded_monomials(nvars, D), coefficient) pairs
-    by_degree: dict[int, list] = {}
-    for gen in cfg.published_generators:
-        parts: dict[int, list] = {}
-        for e, c in gen.terms.items():
-            parts.setdefault(sum(e), []).append((e, c))
-        for deg, part in parts.items():
-            column = {mono: j for j, mono in enumerate(graded_monomials(nvars, deg))}
-            by_degree.setdefault(deg, []).append([(column[e], c) for e, c in part])
-    for flat, _ in cfg.scheme.components:
-        for deg, parts in by_degree.items():
-            rows = component_rows(flat, 1, deg)
-            for part in parts:
-                for row in rows:
-                    if sum((c * row[j] for j, c in part if row[j]), 0):
-                        return False
-    return True
+    return forms_vanish(cfg.scheme, cfg.published_generators)

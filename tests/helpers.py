@@ -37,6 +37,11 @@ eliminates it in one piece and returns its kernel as polynomials.
 evaluate is the value of a polynomial at a point, through
 MultiPoly.partial_evaluate of every variable.
 
+vanishes_at_points and vanishes_by_rows are the two vanishing tests that
+scheme.forms_vanish replaced: a closed form substituted one point at a
+time, and a form's coefficient vector dotted with the rows of each
+component flat.
+
 contains_flat, containing_hyperplanes and lattice_membership are the
 incidence queries of an arrangement's intersection lattice, by dot
 products of equations with span bases.
@@ -232,6 +237,40 @@ def evaluate(poly: MultiPoly, coords) -> CyclotomicNumber:
     assert len(coords) == poly.nvars
     value = poly.partial_evaluate(dict(enumerate(coords)))
     return value.terms.get((0,) * poly.nvars, CyclotomicNumber.zero())
+
+
+def vanishes_at_points(form: BuiltFormula, Z) -> bool:
+    """Whether the closed form is zero, as a polynomial in the point
+    variables, at each point of the point set Z, substituted through
+    MultiPoly.partial_evaluate."""
+    assert all(fl.dim == 0 for fl, _ in Z.components), "not a point set"
+    np_ = form.npoint
+    return all(form.poly.partial_evaluate(
+        {np_ + i: v for i, v in enumerate(fl.point())}).is_zero()
+        for fl, _ in Z.components)
+
+
+def vanishes_by_rows(poly: MultiPoly, npoint: int, Z) -> bool:
+    """Whether poly, in npoint parameter variables followed by the
+    coordinates of P^N, vanishes on every component flat of Z for all
+    parameter values: each row of component_rows(flat, 1, D), dotted with
+    the coefficients of the degree-D coordinate monomials, leaves the zero
+    polynomial in the parameters."""
+    nvars = Z.ambient + 1
+    by_degree = {}
+    for e, c in poly.terms.items():
+        by_degree.setdefault(sum(e[npoint:]), []).append((e[:npoint], e[npoint:], c))
+    for flat, _ in Z.components:
+        for deg, terms in by_degree.items():
+            column = {mono: j for j, mono in enumerate(graded_monomials(nvars, deg))}
+            for row in component_rows(flat, 1, deg):
+                acc = {}
+                for alpha, beta, c in terms:
+                    if row[column[beta]]:
+                        acc[alpha] = acc.get(alpha, 0) + c * row[column[beta]]
+                if any(acc.values()):
+                    return False
+    return True
 
 
 def contains_flat(outer: Flat, inner: Flat) -> bool:

@@ -146,7 +146,7 @@ def test_criterion_06_bmss_surface():
         probe = parse_point("(0:0:1:1)")
         member, _ = lattice_membership(arr, Flat.from_point(probe))
         assert member
-        assert probe not in set(cfg.scheme.points())
+        assert probe not in {fl.point() for fl, _ in cfg.scheme.components}
 
 
 def test_criterion_07_p5_multipoint():

@@ -5,9 +5,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from helpers import b3_quartic, quintic_curve, sextic_curve
+from helpers import (b3_quartic, quintic_curve, sextic_curve, vanishes_at_points,
+                     vanishes_by_rows)
 
-from fermatarr import formulas, interp
+from fermatarr import formulas, scheme
 from fermatarr.formulas import (
     bmss_surface,
     build_formula,
@@ -24,7 +25,8 @@ from fermatarr.formulas import (
 from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.interp import decide_unexpected
 from fermatarr.mpoly import MultiPoly, parse_poly
-from fermatarr.scheme import component_rows, named_configuration
+from fermatarr.scheme import (FatScheme, NamedConfig, component_rows,
+                              named_configuration)
 
 
 def test_general_family_reproduces_the_fixed_equations():
@@ -59,14 +61,13 @@ def test_symbolic_vanishing_on_configurations():
     for family in ("B3", "M3", "M4", "GEN(5)", "GEN(6)", "BMSS",
                    "MULT4(3)", "MULT4(4)", "MULT4(5)"):
         assert symbolic_vanishing_on_Z(build_formula(family))
-    # a configuration that is not a point set in the form's ambient space
-    # is refused, not passed with nothing checked
-    for family, cid, match in (("BMSS", "LINES42", "not a point"),
-                               ("B3", "LINES42", r"P\^3, but B3 has 3"),
-                               ("B3", "BMSS_P3", r"P\^3, but B3 has 3")):
-        with pytest.raises(ValueError, match=match):
-            symbolic_vanishing_on_Z(build_formula(family),
-                                    named_configuration(cid))
+    # lines in the form's own space are a real verdict; a configuration in
+    # another space is refused, not passed with nothing checked
+    assert not symbolic_vanishing_on_Z(build_formula("BMSS"),
+                                       named_configuration("LINES42"))
+    for cid in ("LINES42", "BMSS_P3"):
+        with pytest.raises(ValueError, match=r"P\^3, but B3 has 3"):
+            symbolic_vanishing_on_Z(build_formula("B3"), named_configuration(cid))
 
 
 def test_vanishing_detects_perturbation():
@@ -74,6 +75,58 @@ def test_vanishing_detects_perturbation():
     bumped = form.poly + MultiPoly(6, {(0, 0, 0, 4, 0, 0): 1})
     broken = replace(form, poly=bumped)
     assert not symbolic_vanishing_on_Z(broken)
+
+
+# (family, configuration id) pairs of the benchmark's certify items, and two
+# larger MULT4 orders, on which each closed form vanishes
+VANISHING_PAIRS = ([("B3", "B3_DUAL"), ("M3", "FERMAT_DUAL(3,2)"),
+                    ("M4", "FERMAT_DUAL(4,1)"), ("BMSS", "BMSS_P3")]
+                   + [(f"GEN({m})", f"FERMAT_DUAL({m},{k})")
+                      for m in (5, 6) for k in range(4)]
+                   + [("GEN(7)", "FERMAT_DUAL(7,3)"), ("GEN(8)", "FERMAT_DUAL(8,0)"),
+                      ("GEN(11)", "FERMAT_DUAL(11,3)")]
+                   + [(f"MULT4({n})", f"MULT4_POINTS({n})") for n in (3, 4, 5, 12, 20)])
+# pairs on which the closed form does not vanish
+NON_VANISHING_PAIRS = (("BMSS", "LINES42"), ("GEN(5)", "FERMAT_DUAL(6,1)"),
+                       ("MULT4(5)", "MULT4_POINTS(6)"))
+
+
+def test_vanishing_matches_the_substitution_and_row_oracles():
+    bumped = b3_quartic().poly + MultiPoly(6, {(0, 0, 0, 4, 0, 0): 1})
+    # a^4 * x0^4 * x1 lies in a character block of FERMAT_DUAL(3,2) other
+    # than the first, and does not vanish there
+    m3_bumped = quintic_curve().poly + MultiPoly(6, {(4, 0, 0, 4, 1, 0): 1})
+    M4 = named_configuration("FERMAT_DUAL(4,1)")
+    double = NamedConfig("double", FatScheme(2, [(fl, 2) for fl, _ in
+                                                 M4.scheme.components]))
+    cases = ([(build_formula(f), named_configuration(c), True)
+              for f, c in VANISHING_PAIRS]
+             + [(build_formula(f), named_configuration(c), False)
+                for f, c in NON_VANISHING_PAIRS]
+             + [(replace(b3_quartic(), poly=bumped), named_configuration("B3_DUAL"),
+                 False),
+                (replace(quintic_curve(), poly=m3_bumped),
+                 named_configuration("FERMAT_DUAL(3,2)"), False),
+                (build_formula("M4"), double, True)])
+    for form, cfg, expected in cases:
+        Z = cfg.scheme
+        assert symbolic_vanishing_on_Z(form, cfg) is expected, (form.family, cfg.id)
+        assert vanishes_by_rows(form.poly, form.npoint, Z) is expected
+        if all(fl.dim == 0 for fl, _ in Z.components):
+            assert vanishes_at_points(form, Z) is expected
+
+
+def test_verify_family_finds_the_symmetry_once(monkeypatch):
+    calls = []
+
+    def counted(Z):
+        calls.append(Z)
+        return real(Z)
+    real = scheme._symmetry
+    monkeypatch.setattr(scheme, "_symmetry", counted)
+    rep = verify_family("MULT4(5)")
+    assert rep.vanishing and rep.kernel_member and rep.unique
+    assert len(calls) == 1
 
 
 def test_symbolic_multiplicities_certified():
@@ -206,10 +259,10 @@ def test_kernel_membership_builds_only_the_representatives_rows(monkeypatch):
     def counted(flat, mult, d):
         flats.append(flat)
         return component_rows(flat, mult, d)
-    monkeypatch.setattr(interp, "component_rows", counted)
+    monkeypatch.setattr(scheme, "component_rows", counted)
     monkeypatch.setattr(formulas, "component_rows", counted)
     assert specialized_kernel_membership(form)
-    assert len(flats) <= len(interp._symmetry(Z)[1]) + 1 < len(Z)
+    assert len(flats) <= len(Z.symmetry()[1]) + 1 < len(Z)
 
 
 def test_equal_up_to_scalar():
@@ -233,9 +286,13 @@ def test_build_formula_parsing_and_errors():
     assert build_formula("gen(4)").family == "GEN(4)"
     assert build_formula("gen(4)").poly == build_formula("M4").poly
     assert build_formula("B3").config_id == "B3_DUAL"
-    for bad in ("GEN(1)", "MULT4(2)", "P5", "NOPE", "GEN(2,3)", "B3(1)"):
+    for bad in ("GEN(1)", "MULT4(2)", "P5", "NOPE", "GEN(2,3)", "B3(1)", "P5(1)"):
         with pytest.raises(ValueError):
             build_formula(bad)
+    with pytest.raises(ValueError, match="existence-only"):
+        build_formula("P5")
+    with pytest.raises(ValueError, match=r"^unknown formula family 'P5\(1\)'$"):
+        build_formula("P5(1)")
 
 
 def test_uniqueness_of_small_families():

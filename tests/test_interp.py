@@ -6,14 +6,11 @@ import pytest
 from helpers import (condition_rows, evaluate, kernel_basis, kernel_of_rows,
                      rank_kernel)
 
-from fermatarr import interp
-from fermatarr.arrange import Flat
+from fermatarr import interp, scheme
+from fermatarr.arrange import BudgetError, Flat
 from fermatarr.cyclo import CyclotomicNumber
 from fermatarr.interp import (
-    BudgetError,
-    ConditionMatrix,
     DegenerateDrawError,
-    check_budget,
     decide_unexpected,
     hilbert_function,
     random_flat,
@@ -21,7 +18,13 @@ from fermatarr.interp import (
 )
 from fermatarr.linalg import Eliminator, eliminate, row_dot
 from fermatarr.mpoly import graded_monomials, parse_point
-from fermatarr.scheme import FatScheme, component_rows, named_configuration
+from fermatarr.scheme import (
+    ConditionMatrix,
+    FatScheme,
+    check_budget,
+    component_rows,
+    named_configuration,
+)
 
 B3 = named_configuration("B3_DUAL").scheme
 M3 = named_configuration("FERMAT_DUAL(3,2)").scheme
@@ -59,7 +62,7 @@ def test_condition_matrix_shape_and_provenance():
     assert mat.ncols == len(graded_monomials(3, 4)) == 15
     assert mat.order == 3
     # only the rows of the 5 orbit representatives, one per point
-    reps = interp._symmetry(M3)[1]
+    reps = scheme._symmetry(M3)[1]
     assert len(reps) == len(mat.rows) == 5
     assert mat.rows == [row for flat, m in reps
                         for row in component_rows(flat, m, 4)]
@@ -72,8 +75,8 @@ def test_kernel_polys_vanish_on_scheme():
     assert len(kernel) == len(graded_monomials(3, 4)) - rank == 4
     for poly in kernel:
         assert poly.is_homogeneous() and poly.degree() == 4
-        for p in M3.points():
-            assert evaluate(poly, p).is_zero()
+        for fl, _ in M3.components:
+            assert evaluate(poly, fl.point()).is_zero()
 
 
 def test_kernel_of_fat_point_has_vanishing_derivatives():
@@ -169,6 +172,7 @@ def _no_rows(*args):
 
 def test_budget_refuses_before_any_row_is_built(monkeypatch):
     # C(100002, 2) columns: refused from the counts, with no row built
+    monkeypatch.setattr(scheme, "component_rows", _no_rows)
     monkeypatch.setattr(interp, "component_rows", _no_rows)
     for run in (lambda: system_dimension(B3, 100_000),
                 lambda: hilbert_function(B3, 100_000),
@@ -180,12 +184,13 @@ def test_budget_refuses_before_any_row_is_built(monkeypatch):
 def test_budget_counts_rows_columns_phi_and_template(monkeypatch):
     # B3_DUAL in degree 4: 9 rows x 15 columns, and 15 rows with a triple
     # point; FERMAT_DUAL(3,2) counts phi(3) = 2 rational entries per entry
-    monkeypatch.setattr(interp, "MATRIX_BUDGET", 135)
+    monkeypatch.setattr(scheme, "MATRIX_BUDGET", 135)
     assert system_dimension(B3, 4) == 6
+    monkeypatch.setattr(scheme, "component_rows", _no_rows)
     monkeypatch.setattr(interp, "component_rows", _no_rows)
     with pytest.raises(BudgetError, match="15 rows x 15 columns x phi 1"):
         decide_unexpected(B3, [(0, 3)], 4)
-    monkeypatch.setattr(interp, "MATRIX_BUDGET", 134)
+    monkeypatch.setattr(scheme, "MATRIX_BUDGET", 134)
     with pytest.raises(BudgetError, match="9 rows x 15 columns"):
         system_dimension(B3, 4)
     with pytest.raises(BudgetError, match="x phi 2"):
@@ -195,11 +200,12 @@ def test_budget_counts_rows_columns_phi_and_template(monkeypatch):
 def test_trials_count_against_the_budget(monkeypatch):
     # each trial is one matrix of 15 rows x 15 columns, refused before any
     # row is built or any flat drawn
+    monkeypatch.setattr(scheme, "component_rows", _no_rows)
     monkeypatch.setattr(interp, "component_rows", _no_rows)
     monkeypatch.setattr(interp, "random_flat", _no_rows)
     with pytest.raises(BudgetError, match="100000000 trials x 15 rows x 15 col"):
         decide_unexpected(B3, [(0, 3)], 4, trials=10**8)
-    monkeypatch.setattr(interp, "MATRIX_BUDGET", 4 * 225)
+    monkeypatch.setattr(scheme, "MATRIX_BUDGET", 4 * 225)
     check_budget(B3, 4, 6, trials=4)
     with pytest.raises(BudgetError, match="5 trials x 15 rows"):
         check_budget(B3, 4, 6, trials=5)
@@ -269,14 +275,14 @@ def _most_moved(Z):
 def test_broken_orbits_fall_back_and_agree():
     for cid, d_max in BLOCK_CASES:
         Z = named_configuration(cid).scheme
-        gens = interp._symmetry(Z)[0]
+        gens = scheme._symmetry(Z)[0]
         moved, mult = _most_moved(Z)
         removed = FatScheme(Z.ambient, [c for c in Z.components
                                         if c[0] != moved])
         raised = FatScheme(Z.ambient, [(fl, m + (fl == moved))
                                        for fl, m in Z.components])
         for broken, how in ((removed, "removed"), (raised, "raised")):
-            found = interp._symmetry(broken)[0]
+            found = scheme._symmetry(broken)[0]
             assert set(found) <= set(gens) and (not gens or found != gens)
             _assert_blocks_match(broken, min(d_max - 1, 5), f"{cid} {how}")
 
@@ -284,7 +290,7 @@ def test_broken_orbits_fall_back_and_agree():
 def test_symmetry_generators_and_orbits():
     for m in range(3, 8):
         for k in range(4):
-            gens, reps = interp._symmetry(
+            gens, reps = scheme._symmetry(
                 named_configuration(f"FERMAT_DUAL({m},{k})").scheme)
             # one orbit of dual points per pair of coordinates, and the k
             # points dual to the coordinate lines, each fixed
@@ -292,8 +298,21 @@ def test_symmetry_generators_and_orbits():
     for cid, gens, orbits in (("LINES42", (1, 2, 3), 10), ("B3_DUAL", (), 9),
                               ("MULT4_POINTS(6)", (1, 2), 4)):
         Z = named_configuration(cid).scheme
-        found, reps = interp._symmetry(Z)
+        found, reps = scheme._symmetry(Z)
         assert (found, len(reps)) == (gens, orbits), cid
+
+
+def test_hilbert_function_finds_the_symmetry_once(monkeypatch):
+    calls = []
+
+    def counted(Z):
+        calls.append(Z)
+        return real(Z)
+    real = scheme._symmetry
+    monkeypatch.setattr(scheme, "_symmetry", counted)
+    Z = named_configuration("FERMAT_DUAL(5,2)").scheme
+    assert hilbert_function(Z, 5) == hilbert_function(Z, 5)
+    assert calls == [Z]
 
 
 def test_decisions_match_the_unblocked_engine(monkeypatch):
@@ -302,7 +321,7 @@ def test_decisions_match_the_unblocked_engine(monkeypatch):
              ("MULT4_POINTS(6)", [(0, 4)], 8))
     blocked = [decide_unexpected(named_configuration(cid).scheme, t, d,
                                  trials=2, seed=3) for cid, t, d in cases]
-    monkeypatch.setattr(interp, "_symmetry", lambda Z: ((), Z.components))
+    monkeypatch.setattr(scheme, "_symmetry", lambda Z: ((), Z.components))
     plain = [decide_unexpected(named_configuration(cid).scheme, t, d,
                                trials=2, seed=3) for cid, t, d in cases]
     assert blocked == plain

@@ -6,7 +6,7 @@ import random
 import pytest
 from helpers import (chart_rows, condition_rows, conditions_count_line,
                      conditions_count_line_p3, field_rank_oracle,
-                     general_point_count)
+                     general_point_count, vanishes_by_rows)
 
 from fermatarr import linalg
 from fermatarr import scheme as scheme_module
@@ -14,7 +14,7 @@ from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.interp import hilbert_function, random_flat, system_dimension
 from fermatarr.linalg import Eliminator, _field_row_to_int, rank_of_field_rows
-from fermatarr.mpoly import MultiPoly, graded_monomials, parse_point
+from fermatarr.mpoly import MultiPoly, graded_monomials, parse_point, parse_poly
 from fermatarr.scheme import (
     FatScheme,
     NamedConfig,
@@ -80,7 +80,7 @@ def test_lines42_components_are_lines():
 
 def test_bmss_contains_all_four_coordinate_points():
     cfg = named_configuration("BMSS_P3")
-    pts = set(cfg.scheme.points())
+    pts = {fl.point() for fl, _ in cfg.scheme.components}
     for s in ("(1:0:0:0)", "(0:1:0:0)", "(0:0:1:0)", "(0:0:0:1)"):
         assert parse_point(s) in pts
 
@@ -144,6 +144,39 @@ def test_generator_vanishing_on_lines():
     for flat, _ in cfg.scheme.components:
         alone = NamedConfig("tmp", FatScheme(3, [(flat, 1)]), gens)
         assert flat.dim == 1 and verify_published_generators(alone)
+
+
+def test_published_generators_match_the_row_oracle():
+    # the four configurations with generators, each with an extra point
+    # off them, LINES42 with an extra line, FERMAT_DUAL(3,2) with an extra
+    # generator x0^4*x1, which fails only outside the first character
+    # block, and FERMAT_DUAL(4,1) at multiplicity 2, whose support the
+    # generators still cut out
+    line = Flat.from_span([(1, 2, 0, 0), (0, 0, 1, 3)])
+    cases = []
+    for cid in ("FERMAT_DUAL(3,2)", "FERMAT_DUAL(4,1)", "BMSS_P3", "LINES42"):
+        cfg = named_configuration(cid)
+        Z = cfg.scheme
+        off = Flat.from_point((1, 2, 3, 5)[:Z.ambient + 1])
+        cases.append((cfg, True))
+        cases.append((NamedConfig(cid, FatScheme(Z.ambient, Z.components + ((off, 1),)),
+                                  cfg.published_generators), False))
+    lines = named_configuration("LINES42")
+    cases.append((NamedConfig("LINES42", FatScheme(3, lines.scheme.components
+                                                   + ((line, 1),)),
+                              lines.published_generators), False))
+    M3 = named_configuration("FERMAT_DUAL(3,2)")
+    cases.append((NamedConfig(M3.id, M3.scheme, M3.published_generators
+                              + (parse_poly("x0^4*x1", ("x0", "x1", "x2")),)),
+                  False))
+    M4 = named_configuration("FERMAT_DUAL(4,1)")
+    cases.append((NamedConfig(M4.id, FatScheme(2, [(fl, 2) for fl, _ in
+                                                   M4.scheme.components]),
+                              M4.published_generators), True))
+    for cfg, expected in cases:
+        assert verify_published_generators(cfg) is expected, cfg.id
+        assert all(vanishes_by_rows(g, 0, cfg.scheme)
+                   for g in cfg.published_generators) is expected, cfg.id
 
 
 # -- degree-wise cut-out of Z by the printed generators ---------------------
@@ -503,6 +536,8 @@ def test_scheme_parse_errors_carry_line_numbers():
         parse_scheme("ambient\npoint (1:2:3) mult 1\n")
     with pytest.raises(ValueError, match="scheme line 2: .*'mult M'"):
         parse_scheme("ambient 2\npoint (1:2:3)\n")
+    with pytest.raises(ValueError, match="^scheme line 2: bad multiplicity 'x 1'"):
+        parse_scheme("ambient 2\npoint (1:2:3) multx 1\n")
     for text in ("ambient 0\n", "ambient -1\npoint (1:2:3) mult 1\n"):
         with pytest.raises(ValueError, match="scheme line 1"):
             parse_scheme(text)
@@ -522,10 +557,3 @@ def test_scheme_parse_errors_carry_line_numbers():
 def test_scheme_parse_ignores_comments_and_blanks():
     Z = parse_scheme("# header\n\nambient 2\npoint (1:2:3) mult 2\n")
     assert len(Z) == 1 and Z.components[0][1] == 2
-
-
-def test_points_accessor_skips_positive_dimensional_flats():
-    line = Flat.from_span([(1, 0, 0, 1), (0, 1, 0, 0)])
-    pt = Flat.from_point(parse_point("(1:1:1:1)"))
-    Z = FatScheme(3, [(line, 1), (pt, 1)])
-    assert Z.points() == [parse_point("(1:1:1:1)")]
