@@ -131,6 +131,16 @@ def _strip(row):
     return row
 
 
+def _field_entries(vals, order: int, phi: int) -> list:
+    """A flat list of ncols*phi ints as its ncols entries over Z[e_order]:
+    an int where the entry is rational, else a CyclotomicNumber."""
+    if phi == 1:
+        return vals
+    chunks = (vals[i:i + phi] for i in range(0, len(vals), phi))
+    return [c[0] if not any(c[1:]) else CyclotomicNumber._make(order, tuple(c))
+            for c in chunks]
+
+
 def _times_root(vals, top):
     """Multiply each phi-chunk of a flat coefficient list by e; top holds
     the coefficients of e^phi."""
@@ -180,10 +190,12 @@ class Eliminator:
     leading columns in turn: a pivot is applied through its own nonzero
     entries, and the row is scaled (by lead / gcd(lead, entry)) only when
     the pivot's lead does not divide the entry, so never by a lead of 1.
-    The condition rows of derived configurations are sparse and most of
-    their leads are 1, so an application costs about the pivot's few
-    nonzeros instead of the whole row.  The accepted rows form a row
-    echelon set with distinct leads.
+    The condition rows of derived configurations are sparse, so an
+    application costs about the pivot's few nonzeros instead of the whole
+    row.  The rows of one component have pairwise distinct leads
+    (scheme.component_rows), so among themselves they apply no pivot over
+    Q, nor over Q(e_order) where their lead entries are rational.  The
+    accepted rows form a row echelon set with distinct leads.
     """
 
     def __init__(self, ncols: int, order: int) -> None:
@@ -275,6 +287,38 @@ class Eliminator:
                     vals[k:] = _strip(vals[k:])
         return None
 
+    def _cleared(self, lead, later):
+        """The pivot at lead as a dense row, cleared fraction-free at the
+        lead columns later, in turn, wherever it is nonzero."""
+        pivots = self._pivots
+        row = self._dense(lead)
+        scaled = 0
+        for j in later:
+            if row[j] and _apply(row, j, lead, pivots[j]):
+                scaled += 1
+                if scaled % _STRIP_EVERY == 0:
+                    row[lead:] = _strip(row[lead:])
+        return row
+
+    def echelon(self):
+        """A row echelon basis over Q(e_order) of the accepted rows, with
+        rational leads, as (pivot_cols, rows), ascending.
+
+        A row is the pivot that starts a phi-chunk, cleared fraction-free
+        at the other leads of that chunk only: it is 0 before its pivot
+        column, holds a positive int there, and has entries over Z[e_order],
+        ints where rational.  At phi = 1 the rows are the pivots as they
+        stand, with no back-substitution."""
+        phi, order = self.phi, self.order
+        pivot_cols, out = [], []
+        for lead in sorted(self._pivots):
+            if lead % phi:
+                continue
+            row = self._cleared(lead, range(lead + 1, lead + phi))
+            pivot_cols.append(lead // phi)
+            out.append(_field_entries(row, order, phi))
+        return pivot_cols, out
+
     def reduced(self):
         """Canonical RREF over Q(e_order) as (pivot_cols, rows).
 
@@ -282,19 +326,13 @@ class Eliminator:
         leads fill whole phi-chunks.  A pivot that starts a chunk, cleared
         fraction-free at every later lead column, is therefore the unit
         row of one field pivot column with zeros at all the others."""
-        phi, order, pivots = self.phi, self.order, self._pivots
-        leads = sorted(pivots)
+        phi, order = self.phi, self.order
+        leads = sorted(self._pivots)
         pivot_cols, out = [], []
         for i, lead in enumerate(leads):
             if lead % phi:
                 continue
-            row = self._dense(lead)
-            scaled = 0
-            for j in leads[i + 1:]:
-                if row[j] and _apply(row, j, lead, pivots[j]):
-                    scaled += 1
-                    if scaled % _STRIP_EVERY == 0:
-                        row[lead:] = _strip(row[lead:])
+            row = self._cleared(lead, leads[i + 1:])
             den = row[lead]  # positive: the pivot's lead times positive scales
             pivot_cols.append(lead // phi)
             out.append(tuple(CyclotomicNumber._make(order, tuple(row[s:s + phi]), den)

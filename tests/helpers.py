@@ -30,6 +30,11 @@ conditions_count_line and conditions_count_line_p3 are published closed
 forms for a fat line, which agree with conditions_count only from the
 threshold d >= m-1 on.
 
+kernel_basis_rows builds a component's condition rows through the
+equations' kernel basis, with its units at the free columns, and the
+filter over those columns: other rows than component_rows, with the
+same span.
+
 condition_rows is the full condition matrix of a scheme: every
 component's component_rows, with no symmetry blocks.  rank_kernel
 eliminates it in one piece and returns its kernel as polynomials.
@@ -59,7 +64,8 @@ from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.formulas import BuiltFormula
 from fermatarr.linalg import eliminate, kernel_of_rref, row_dot, rref
 from fermatarr.mpoly import MultiPoly, graded_monomials
-from fermatarr.scheme import component_rows, named_configuration
+from fermatarr.scheme import (_derivative_table, _expansions, _integral_vector,
+                              component_rows, named_configuration)
 
 
 def regular_block(value: CyclotomicNumber):
@@ -160,6 +166,33 @@ def chart_rows(flat, m: int, d: int):
               for alpha in graded_monomials(nvars, d)]
     return [tuple(img.terms.get(e, 0) for img in images)
             for e in graded_monomials(nvars, d) if sum(e[len(basis):]) < m]
+
+
+def kernel_basis_rows(flat, mult: int, d: int):
+    """The rows (beta, mu) of component_rows, k = min(mult, d+1)-1, for
+    the span basis b_t with its unit at free[t], the t-th free column of
+    flat.equations, keeping mu[:last] = 0 for last the largest t with
+    beta[free[t]] > 0 (else 0); in graded order of beta, then mu."""
+    nvars = flat.ambient + 1
+    k = min(mult, d + 1) - 1
+    pivots = {next(i for i, c in enumerate(row) if c) for row in flat.equations}
+    free = [i for i in range(nvars) if i not in pivots]
+    basis = [_integral_vector(vec, flat.order) for vec in flat.span_basis()]
+    by_mu = list(zip(*_expansions(basis, nvars, d - k)))
+    smonos = graded_monomials(flat.dim + 1, d - k)
+    ncols = len(graded_monomials(nvars, d))
+    rows = []
+    for beta, (columns, scales) in zip(graded_monomials(nvars, k),
+                                       _derivative_table(nvars, k, d - k)):
+        last = max((t for t, i in enumerate(free) if beta[i]), default=0)
+        for coeffs, mu in zip(by_mu, smonos):
+            if not any(mu[:last]):
+                row = [0] * ncols
+                for v, col, scale in zip(coeffs, columns, scales):
+                    if v:
+                        row[col] = v * scale
+                rows.append(tuple(row))
+    return rows
 
 
 def general_point_count(N: int, m: int) -> int:

@@ -170,6 +170,25 @@ def test_sparse_rows_match_oracles():
                     assert row_dot(_field_row(row, order), vec).is_zero()
 
 
+def test_echelon_has_rational_leads_and_the_same_span():
+    # the basis component_rows restricts a flat's monomials through: one
+    # row per pivot column of the RREF, 0 before it, a positive int on it
+    rng = random.Random(24)
+    for order in ORDERS:
+        for nrows, ncols in ((1, 4), (2, 5), (3, 5), (4, 7), (6, 6)):
+            rows = _random_matrix(rng, nrows, ncols, order)
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+            elim = eliminate(rows, ncols, order)
+            pivots, basis = elim.echelon()
+            assert pivots == elim.reduced()[0]
+            for col, row in zip(pivots, basis):
+                assert len(row) == ncols and not any(row[:col])
+                assert type(row[col]) is int and row[col] > 0
+                assert all(type(v) is int or isinstance(v, CyclotomicNumber)
+                           for v in row)
+            assert rref(basis, ncols, order) == elim.reduced()
+
+
 def test_clone_isolation():
     rng = random.Random(14)
     order = 5

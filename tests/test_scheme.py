@@ -6,14 +6,14 @@ import random
 import pytest
 from helpers import (chart_rows, condition_rows, conditions_count_line,
                      conditions_count_line_p3, field_rank_oracle,
-                     general_point_count, vanishes_by_rows)
+                     general_point_count, kernel_basis_rows, vanishes_by_rows)
 
 from fermatarr import linalg
 from fermatarr import scheme as scheme_module
-from fermatarr.arrange import Flat, derived_flats, fermat_arrangement
+from fermatarr.arrange import Flat, derived_flats, fermat_arrangement, parse_spec
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.interp import hilbert_function, random_flat, system_dimension
-from fermatarr.linalg import Eliminator, _field_row_to_int, rank_of_field_rows
+from fermatarr.linalg import Eliminator, _field_row_to_int, rank_of_field_rows, rref
 from fermatarr.mpoly import MultiPoly, graded_monomials, parse_point, parse_poly
 from fermatarr.scheme import (
     FatScheme,
@@ -315,7 +315,10 @@ def test_component_rows_values_are_pinned():
     # up to the primitive scaling linalg applies anyway, on random rational
     # flats up to P^4, two LINES42 lines and three cyclotomic points.  The
     # digest reads the rows in graded order, the reverse of the order
-    # component_rows returns them in
+    # component_rows returns them in.  The rows through the equations'
+    # kernel basis (kernel_basis_rows, whose digest is the one
+    # component_rows had when it built its rows that way) differ on every
+    # positive-dimensional flat, but their RREF is the same
     rng = random.Random(29)
     flats = [random_flat(rng, N, r, box=5) for N in range(1, 5) for r in range(N)]
     flats += [fl for fl, _ in named_configuration("LINES42").scheme.components[:2]]
@@ -324,16 +327,24 @@ def test_component_rows_values_are_pinned():
     flats.append(next(fl for fl, _ in
                       named_configuration("FERMAT_DUAL(7,1)").scheme.components
                       if fl.order > 1))
-    digest = hashlib.sha256()
+    digest, kernel_digest = hashlib.sha256(), hashlib.sha256()
     for flat in flats:
         phi = euler_phi(flat.order)
         for m in range(1, 5):
             for d in range(7):
-                for row in reversed(component_rows(flat, m, d)):
-                    image = _field_row_to_int(row, flat.order, phi)
-                    digest.update(repr(image).encode())
-                digest.update(b";")
+                rows = component_rows(flat, m, d)
+                kernel_rows = kernel_basis_rows(flat, m, d)
+                ncols = len(graded_monomials(flat.ambient + 1, d))
+                assert rref(rows, ncols, flat.order) \
+                    == rref(kernel_rows, ncols, flat.order), (flat, m, d)
+                for dig, rs in ((digest, reversed(rows)),
+                                (kernel_digest, kernel_rows)):
+                    for row in rs:
+                        dig.update(repr(_field_row_to_int(row, flat.order, phi)).encode())
+                    dig.update(b";")
     assert digest.hexdigest() == \
+        "d6b29590540d9583e9fd122a031a9942cab6aff5a14f51c59286b7cbb180c50b"
+    assert kernel_digest.hexdigest() == \
         "8c2db4e5628133b63286077d26bd5590f07c2d6afe8cf9fd819a311e4036dd5b"
 
 
@@ -341,42 +352,80 @@ def _lead(row):
     return next(i for i, v in enumerate(row) if v)
 
 
-def test_point_rows_have_strictly_descending_leads(monkeypatch):
-    # so each row of a point brings a lead no accepted row has, and over Q
-    # the Eliminator takes it without applying a pivot
+def _lead_test_flats():
+    """Points, lines and planes for the lead tests: rational and
+    cyclotomic points; random rational lines and planes in P^2..P^4,
+    generic ones and spans of sparse vectors, whose leads are not 0..r;
+    the coordinate flats x0 = x1 = 0 of P^3 and P^4 and the plane x0 = 0,
+    x2 = x3 of P^4; and the lines of derived_flats(A(4,0,3), 1, 3), the
+    LINES42 lines, of orders 1 and 3."""
     rng = random.Random(43)
 
-    def coordinate(order):
-        if rng.random() < 0.3:
+    def coordinate(order, zeros=0.3):
+        if rng.random() < zeros:
             return 0
         if order == 1:
             return rng.randint(-9, 9)
         return sum((rng.randint(-2, 2) * CyclotomicNumber.root(order, a)
                     for a in range(order)), CyclotomicNumber.zero(order))
 
-    points = []
-    while len(points) < 60:
+    flats = []
+    while len(flats) < 60:
         order = rng.choice((1, 1, 3, 4, 5))
         coords = [coordinate(order) for _ in range(rng.randint(2, 5))]
         if any(coords) and (order == 1 or not all(
                 c == 0 or c.is_rational() for c in coords)):
-            points.append(Flat.from_point(coords))
-    points += [fl for fl, _ in
-               named_configuration("FERMAT_DUAL(5,3)").scheme.components[:10]]
-    for pt in points:
-        for m in range(1, 5):
-            for d in range(9):
-                leads = [_lead(row) for row in component_rows(pt, m, d)]
-                assert all(a > b for a, b in zip(leads, leads[1:])), (pt, m, d)
+            flats.append(Flat.from_point(coords))
+    flats += [fl for fl, _ in
+              named_configuration("FERMAT_DUAL(5,3)").scheme.components[:10]]
+    for N in (2, 3, 4):
+        for r in range(1, min(2, N - 1) + 1):
+            flats += [random_flat(rng, N, r, box=5) for _ in range(2)]
+            sparse = []
+            while len(sparse) < 2:
+                vecs = [[coordinate(1, 0.6) for _ in range(N + 1)]
+                        for _ in range(r + 1)]
+                if any(map(any, vecs)):
+                    fl = Flat.from_span(vecs)
+                    if fl.dim == r:
+                        sparse.append(fl)
+            flats += sparse
+    flats += [Flat.from_equations([(1, 0, 0, 0), (0, 1, 0, 0)]),
+              Flat.from_equations([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]),
+              Flat.from_equations([(1, 0, 0, 0, 0), (0, 0, 1, -1, 0)])]
+    flats += derived_flats(parse_spec("A(4,0,3)"), 1, 3)
+    return flats
+
+
+def test_component_rows_have_distinct_leads(monkeypatch):
+    # so each row brings a lead no other row of its component has, and the
+    # Eliminator takes it without applying a pivot: over Q for points,
+    # over Q and Q(e_n) alike for lines and planes, whose echelon basis
+    # has rational leads
+    flats = _lead_test_flats()
+    assert {fl.order for fl in flats if fl.dim} == {1, 3}
+    # the sparse spans and coordinate flats do not lead at 0..r
+    assert sum(rref(fl.span_basis(), fl.ambient + 1, fl.order)[0]
+               != list(range(fl.dim + 1)) for fl in flats if fl.dim) >= 10
+    # eliminated: every rational flat and one in four order-3 lines
+    lines = [fl for fl in flats if fl.dim and fl.order > 1]
+    eliminated = {fl for fl in flats if fl.order == 1} | set(lines[::4])
 
     def no_apply(*args):
         raise AssertionError("a pivot was applied")
-    monkeypatch.setattr(linalg, "_apply", no_apply)
-    for pt in points:
-        if pt.order == 1:
-            rows = component_rows(pt, 4, 8)
-            elim = Eliminator(len(graded_monomials(pt.ambient + 1, 8)), 1)
-            assert all(elim.add_field_row(row) for row in rows)
+    for fl in flats:
+        for m in range(1, 5):
+            for d in range(9):
+                rows = component_rows(fl, m, d)  # its echelon basis may apply
+                leads = [_lead(row) for row in rows]
+                assert len(set(leads)) == len(leads), (fl, m, d)
+                if fl in eliminated:
+                    with monkeypatch.context() as patched:
+                        patched.setattr(linalg, "_apply", no_apply)
+                        elim = Eliminator(len(graded_monomials(fl.ambient + 1, d)),
+                                          fl.order)
+                        assert all(elim.add_field_row(row) for row in rows), \
+                            (fl, m, d)
 
 
 def test_low_degree_components_kill_everything():
