@@ -343,7 +343,8 @@ def specialized_kernel_membership(form: BuiltFormula,
     mat = ConditionMatrix.from_scheme(cfg.scheme, d)  # the budget, before any row
     vec = spec.coeff_vector(graded_monomials(form.ncoord, d))
     rows = component_rows(Flat.from_point(coords), form.multiplicity, d)
-    return all(row_dot(row, vec).is_zero() for row in rows) and mat.contains(vec)
+    return (all(row_dot(vals, [vec[c] for c in cols]).is_zero() for cols, vals in rows)
+            and mat.contains(vec))
 
 
 # -- family verification -----------------------------------------------------

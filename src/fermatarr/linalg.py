@@ -1,19 +1,26 @@
 """Exact linear algebra over Q(e_n).
 
-One elimination engine.  The Eliminator scales each row to integer
-coordinates in Z[e_n], blows it up into its phi(n) rational copies (the
-coefficient rows of e^0 r, ..., e^(phi-1) r) and runs one fraction-free
-integer reduction with periodic content stripping over them, for every
-order.  A pivot row is kept as its nonzero entries and applied through
-them alone; the working row is scaled only when the pivot's lead does
-not divide the entry it clears, which a lead of 1 always does.  The rank
-is read off the accepted rows, the canonical RREF over Q(e_n) comes from
-back-substituting them (Eliminator.reduced; rref returns rows already
-in that form as they stand), and every kernel is built from that RREF,
-one vector per free column.  Rows may mix ints and
-Fractions with CyclotomicNumbers: the condition rows of a rational flat
-are int-valued, those of a cyclotomic flat hold ints beside
-CyclotomicNumbers.  Row scaling never changes rank or kernel.
+One row format and one elimination engine.  A row is sparse: the pair
+(cols, vals) of its nonzero columns, ascending, and their values, which
+may mix ints and Fractions with CyclotomicNumbers (the condition rows of
+a rational flat are int-valued, those of a cyclotomic flat hold ints
+beside CyclotomicNumbers).  A dense caller turns its rows into that form
+through sparse_row.
+
+The Eliminator converts only the nonzero entries of a row to integer
+coordinates in Z[e_n] and reads it as the phi(n) rational rows that carry
+the coefficients of e^0 r, ..., e^(phi-1) r, so that one fraction-free
+integer reduction serves every order.  A row whose lead column holds no
+pivot is independent of the accepted rows, so it becomes its pivot as it
+stands, with its content divided out; only a row whose lead collides is
+densified and reduced.  A pivot row is kept as its nonzero entries and
+applied through them alone; the working row is scaled only when the
+pivot's lead does not divide the entry it clears, which a lead of 1
+always does.  The rank is read off the accepted rows, the canonical RREF
+over Q(e_n) comes from back-substituting them (Eliminator.reduced; rref
+returns rows already in that form as they stand), and every kernel is
+built from that RREF, one vector per free column.  Row scaling never
+changes rank or kernel.
 """
 from __future__ import annotations
 
@@ -25,8 +32,14 @@ from .cyclo import CyclotomicNumber, as_field, euler_phi, power_table
 _STRIP_EVERY = 8  # a working row loses its content after every 8th scaling
 
 
+def sparse_row(row) -> tuple:
+    """A dense row as the sparse row (cols, vals) of its nonzero entries."""
+    cols = tuple(compress(count(), row))
+    return cols, tuple([row[c] for c in cols])
+
+
 def eliminate(rows, ncols: int, order: int) -> Eliminator:
-    """An Eliminator over Q(e_order) fed with the given rows."""
+    """An Eliminator over Q(e_order) fed with the given sparse rows."""
     elim = Eliminator(ncols, order)
     for row in rows:
         elim.add_field_row(row)
@@ -38,7 +51,7 @@ def rank_of_field_rows(rows, ncols: int, order: int) -> int:
 
 
 def rref(rows, ncols: int, order: int):
-    """Reduced row echelon form over Q(e_order).
+    """Reduced row echelon form over Q(e_order) of dense rows.
 
     Returns (pivot_cols, rref_rows) with unit pivots and zeros above and
     below, rows sorted by pivot column.  The result is canonical for the
@@ -50,7 +63,7 @@ def rref(rows, ncols: int, order: int):
     rows = list(rows)
     leads = _canonical_leads(rows, ncols)
     if leads is None:
-        return eliminate(rows, ncols, order).reduced()
+        return eliminate(map(sparse_row, rows), ncols, order).reduced()
     return leads, [tuple(as_field(v, order) for v in row) for row in rows]
 
 
@@ -97,26 +110,47 @@ def row_dot(row, vec) -> CyclotomicNumber:
 
 
 def _field_row_to_int(row, order: int, phi: int):
-    """Scale a row of ints, Fractions and CyclotomicNumbers to primitive
-    integer coordinates, returned as one flat list of ncols*phi ints (the
-    phi coefficients of each entry in turn); an int or Fraction entry is
-    its own first coefficient."""
-    if phi == 1 and set(map(type, row)) == {int}:
-        return _strip(list(row))
-    pad = (0,) * (phi - 1)
-    flat: list = []
+    """A sparse row (cols, vals) over Q(e_order) in integer coordinates:
+    (coeffs, rational columns) of the nonzero ones among the phi
+    coefficients of each entry, at column col*phi + s for the coefficient
+    of e^s, ascending, all scaled by the entries' common denominator.  An
+    int or Fraction entry is its own first coefficient.  The content is
+    left in; the Eliminator divides it out as it stores a pivot."""
+    cols, vals = row
+    if phi == 1 and set(map(type, vals)) <= {int}:
+        return vals, cols
+    coeffs: list = []
+    icols: list = []
     den = 1
-    for entry in row:
+    for col, entry in zip(cols, vals):
         if isinstance(entry, CyclotomicNumber):
-            entry = entry.lift(order)
+            if entry.order != order:
+                entry = entry.lift(order)
             num, d = entry.num, entry.den
         else:
-            num, d = (entry.numerator,) + pad, entry.denominator
-        if den % d:
-            s = d // math.gcd(den, d)
-            flat, den = [v * s for v in flat], den * s
-        flat.extend(num if d == den else [v * (den // d) for v in num])
-    return _strip(flat)
+            num, d = (entry.numerator,), entry.denominator
+        if d != den:
+            if den % d:
+                s = d // math.gcd(den, d)
+                coeffs, den = [v * s for v in coeffs], den * s
+            s = den // d
+            num = [v * s for v in num]
+        col *= phi
+        for v in num:
+            if v:
+                icols.append(col)
+                coeffs.append(v)
+            col += 1
+    return coeffs, icols
+
+
+def _primitive(coeffs) -> tuple:
+    """A nonzero integer row divided by its content, its first entry made
+    positive."""
+    g = math.gcd(*coeffs)
+    if coeffs[0] < 0:
+        g = -g
+    return tuple(coeffs) if g == 1 else tuple([v // g for v in coeffs])
 
 
 def _strip(row):
@@ -141,18 +175,34 @@ def _field_entries(vals, order: int, phi: int) -> list:
             for c in chunks]
 
 
-def _times_root(vals, top):
-    """Multiply each phi-chunk of a flat coefficient list by e; top holds
-    the coefficients of e^phi."""
+def _root_multiples(pivot, top):
+    """e^j times a pivot (cols, coeffs), for j = 1, ..., phi-1 in turn, each
+    as (coeffs, cols) of its nonzero entries; top holds the coefficients
+    of e^phi.  Only the pivot's nonzero phi-chunks are multiplied: e maps
+    each chunk into itself and a zero chunk to zero."""
     phi = len(top)
-    out = []
-    for i in range(0, len(vals), phi):
-        carry = vals[i + phi - 1]
-        chunk = [0] + vals[i:i + phi - 1]
-        if carry:
-            chunk = [c + carry * t for c, t in zip(chunk, top)]
-        out.extend(chunk)
-    return out
+    chunks = []
+    last = -1
+    for c, v in zip(*pivot):
+        base = c - c % phi
+        if base != last:
+            chunk = [0] * phi
+            chunks.append((base, chunk))
+            last = base
+        chunk[c - base] = v
+    for _ in range(phi - 1):
+        coeffs, cols = [], []
+        for i, (base, chunk) in enumerate(chunks):
+            carry = chunk[-1]
+            chunk = [0] + chunk[:-1]
+            if carry:
+                chunk = [c + carry * t for c, t in zip(chunk, top)]
+            chunks[i] = base, chunk
+            for r, v in enumerate(chunk):
+                if v:
+                    cols.append(base + r)
+                    coeffs.append(v)
+        yield coeffs, cols
 
 
 def _apply(vals, k, start, pivot):
@@ -176,7 +226,8 @@ class Eliminator:
     """Incremental exact rank and canonical RREF over Q(e_order).
 
     A row r over Z[e_order] is held as the phi rational rows that carry the
-    coefficients of e^0 r, ..., e^(phi-1) r, column by column.  Their
+    coefficients of e^0 r, ..., e^(phi-1) r, column by column: rational
+    column col*phi + s holds the coefficient of e^s in entry col.  Their
     Q-span is Q(e) r, so the rational rank is phi times the field rank and
     a single fraction-free integer loop serves every order.  Only the e^0
     copy is reduced to decide independence; the other copies are derived
@@ -184,18 +235,24 @@ class Eliminator:
 
     A pivot row is kept as its nonzero entries only: a tuple of columns,
     its leading column first, beside a tuple of their coefficients, the
-    first of them positive.  Both are immutable once accepted, so clones
-    share them; that makes per-trial reuse of a common base matrix cheap.
-    The incoming row is a dense list, reduced in place at each of its
-    leading columns in turn: a pivot is applied through its own nonzero
-    entries, and the row is scaled (by lead / gcd(lead, entry)) only when
-    the pivot's lead does not divide the entry, so never by a lead of 1.
-    The condition rows of derived configurations are sparse, so an
-    application costs about the pivot's few nonzeros instead of the whole
-    row.  The rows of one component have pairwise distinct leads
-    (scheme.component_rows), so among themselves they apply no pivot over
-    Q, nor over Q(e_order) where their lead entries are rational.  The
-    accepted rows form a row echelon set with distinct leads.
+    first of them positive and their gcd 1.  Both are immutable once
+    accepted, so clones share them; that makes per-trial reuse of a
+    common base matrix cheap.
+
+    Rows come in sparse, as their nonzero integer coefficients and
+    ascending rational columns (add_int_row; add_field_row converts a
+    sparse row over Q(e_order) to that form).  A row whose lead column
+    holds no pivot is stored as its pivot directly: no pivot can clear
+    its lead, so it is independent.  So is each e-multiple of a pivot,
+    built through the pivot's nonzero phi-chunks only, when its lead is
+    fresh.  Only a row whose lead collides is densified and reduced in
+    place at each of its leading columns in turn: a pivot is applied
+    through its own nonzero entries, and the row is scaled (by lead /
+    gcd(lead, entry)) only when the pivot's lead does not divide the
+    entry, so never by a lead of 1.  The rows of one component have
+    pairwise distinct leads, and rational ones (scheme.component_rows),
+    so among themselves they and their e-multiples all take the direct
+    store.  The accepted rows form a row echelon set with distinct leads.
     """
 
     def __init__(self, ncols: int, order: int) -> None:
@@ -236,36 +293,44 @@ class Eliminator:
         return len(self._pivots) // self.phi
 
     def add_field_row(self, row) -> bool:
-        return self.add_int_row(_field_row_to_int(row, self.order, self.phi))
+        """Reduce a sparse row (cols, vals) over Q(e_order) against the
+        current pivots; keep it, with its e-multiples, if independent."""
+        return self.add_int_row(*_field_row_to_int(row, self.order, self.phi))
 
-    def add_int_row(self, row) -> bool:
-        """Reduce a flat row of ncols*phi ints against the current pivots;
+    def add_int_row(self, coeffs, cols) -> bool:
+        """Reduce the integer row with the nonzero coefficients coeffs at
+        the ascending rational columns cols against the current pivots;
         keep it, with its e-multiples, if independent."""
-        phi = self.phi
-        lead = self._reduce(row)
+        lead = self._reduce(coeffs, cols)
         if lead is None:
             return False
-        if phi > 1:
-            vals = self._dense(lead)
-            top = power_table(self.order)[phi]
-            for _ in range(phi - 1):
-                vals = _times_root(vals, top)
-                self._reduce(vals)
+        if self.phi > 1:
+            top = power_table(self.order)[self.phi]
+            for multiple in _root_multiples(self._pivots[lead], top):
+                self._reduce(*multiple)
         return True
 
-    def _dense(self, lead):
-        """The pivot that leads at column lead as a full-width list."""
-        cols, coeffs = self._pivots[lead]
+    def _dense(self, cols, coeffs):
+        """The row with coefficients coeffs at columns cols as a full-width
+        list."""
         vals = [0] * (self.ncols * self.phi)
         for c, y in zip(cols, coeffs):
             vals[c] = y
         return vals
 
-    def _reduce(self, row):
-        """Reduce a copy of the dense row; store it and return its leading
-        column if it does not vanish."""
+    def _reduce(self, coeffs, cols):
+        """Store the row, primitive, as the pivot at its lead if none is
+        there; else reduce a dense copy and store it at the first leading
+        column left without a pivot.  Returns the lead of the stored
+        pivot, or None if the row vanishes."""
+        if not cols:
+            return None
         pivots = self._pivots
-        vals = list(row)
+        coeffs = _primitive(coeffs)
+        if cols[0] not in pivots:
+            pivots[cols[0]] = (tuple(cols), coeffs)
+            return cols[0]
+        vals = self._dense(cols, coeffs)
         scaled = 0
         # compress reads each entry only once the pivots before it are
         # applied, so it yields the leads in turn and then the nonzeros
@@ -274,12 +339,7 @@ class Eliminator:
             pivot = pivots.get(k)
             if pivot is None:
                 cols = (k, *nonzero)
-                coeffs = [vals[c] for c in cols]
-                g = math.gcd(*coeffs)
-                if coeffs[0] < 0:
-                    g = -g
-                pivots[k] = (cols, tuple(coeffs) if g == 1
-                             else tuple(v // g for v in coeffs))
+                pivots[k] = (cols, _primitive([vals[c] for c in cols]))
                 return k
             if _apply(vals, k, k, pivot):
                 scaled += 1
@@ -291,7 +351,7 @@ class Eliminator:
         """The pivot at lead as a dense row, cleared fraction-free at the
         lead columns later, in turn, wherever it is nonzero."""
         pivots = self._pivots
-        row = self._dense(lead)
+        row = self._dense(*pivots[lead])
         scaled = 0
         for j in later:
             if row[j] and _apply(row, j, lead, pivots[j]):

@@ -37,8 +37,7 @@ from math import comb, lcm, perm
 from .arrange import (BudgetError, Flat, check_flat_budget, derived_flats,
                       dual_points, fermat_arrangement, parse_id)
 from .cyclo import CyclotomicNumber, euler_phi
-from .linalg import (Eliminator, _field_entries, _field_row_to_int, eliminate,
-                     row_dot)
+from .linalg import Eliminator, eliminate, row_dot, sparse_row
 from .mpoly import (MultiPoly, default_names, format_point, graded_monomials,
                     parse_point, parse_poly)
 
@@ -305,39 +304,34 @@ def _derivative_table(nvars: int, k: int, deg: int):
     return tuple(table)
 
 
-def _integral_vector(vec, order: int):
-    """vec scaled to primitive integral coordinates: rational entries as
-    ints, the others as CyclotomicNumbers."""
-    phi = euler_phi(order)
-    return tuple(_field_entries(_field_row_to_int(vec, order, phi), order, phi))
-
-
 def component_rows(flat: Flat, mult: int, d: int):
     """Condition rows for one (flat, multiplicity) component in degree d:
-    exactly conditions_count(N, flat.dim, mult, d) rows, all independent.
+    exactly conditions_count(N, flat.dim, mult, d) rows, all independent,
+    each a sparse row (cols, vals) of its nonzero monomial columns,
+    ascending, and their values (the linalg row format).
 
     A row is the coefficient of s^mu in the order-k partial d^beta of the
     column monomials restricted to x = sum_t s_t*b_t, k = min(mult, d+1)-1.
-    A point's b_0 is its span vector.  A positive-dimensional flat's b_t
-    are a row echelon basis of its span with rational leads
-    (Eliminator.echelon): b_t is 0 before its lead column l_t, the l_t
-    increase and b_t[l_t] is a nonzero int.  Only rows with mu[:last] = 0
-    are kept, last being the largest t with beta[l_t] > 0 (else 0).  Their
-    leads are distinct (below), so they are independent, and there are
-    conditions_count of them, the rank of all the rows, so they span the
-    conditions.  Points and mult = 1 keep every row; for d < mult-1 the
-    rows gamma!*e_gamma leave no form.
+    The b_t are a row echelon basis of the flat's span with rational
+    leads (Eliminator.echelon), a point's single b_0 among them: b_t is 0
+    before its lead column l_t, the l_t increase and b_t[l_t] is a
+    positive int.  Only rows with mu[:last] = 0 are kept, last being the
+    largest t with beta[l_t] > 0 (else 0).  Their leads are distinct
+    (below), so they are independent, and there are conditions_count of
+    them, the rank of all the rows, so they span the conditions.  Points
+    and mult = 1 keep every row; for d < mult-1 the rows gamma!*e_gamma
+    leave no form.
 
     Columns are in graded lex order, x0 first, so the first nonzero of
     the row of (beta, mu) is in the column alpha = beta + sum_t
-    mu_t*e_(l_t), where it holds a scale times prod b_t[l_t]^mu_t.  On
-    the kept rows alpha determines (beta, mu): beta is alpha off the
-    leads, and on them takes alpha's entries in order of t until its
-    degree is k.  So every row of a component brings a lead that no
-    other row of it has, and the Eliminator accepts each at its first
-    nonzero with no pivot applied; the rational lead entries of a
-    positive-dimensional flat give each e-multiple of a row a fresh lead
-    as well.  A point's rows have distinct leads for any b_0.
+    mu_t*e_(l_t), where it holds a scale times prod b_t[l_t]^mu_t, a
+    nonzero int.  On the kept rows alpha determines (beta, mu): beta is
+    alpha off the leads, and on them takes alpha's entries in order of t
+    until its degree is k.  So every row of a component brings a lead
+    that no other row of it has, and the Eliminator stores each as its
+    pivot as it stands; the lead entry is rational, so each e-multiple
+    of a row brings a fresh rational lead as well and is stored the same
+    way.
 
     The basis is in integral coordinates, so the rows of a rational flat
     hold only ints, and those of a cyclotomic flat hold ints beside
@@ -349,7 +343,9 @@ def component_rows(flat: Flat, mult: int, d: int):
     times the coefficient of s^mu in the restriction of x^gamma, |gamma| =
     d-k.  _expansions gives those restrictions as dense lists, and
     _derivative_table, shared by every call with the same (N+1, k, d-k),
-    gives the columns and scales.
+    gives the columns and scales.  The columns of one beta ascend with
+    gamma, since graded lex order is compatible with adding beta, so a
+    row's nonzero columns come out ascending.
 
     The rows come last beta first and, within one beta, last mu first: the
     reverse of graded order.  Within a component the order does not
@@ -360,17 +356,14 @@ def component_rows(flat: Flat, mult: int, d: int):
     nvars = flat.ambient + 1
     k = min(mult, d + 1) - 1
     svars = flat.dim + 1
-    if flat.dim:
-        leads, basis = eliminate(flat.span_basis(), nvars, flat.order).echelon()
-    else:  # a point keeps every row, so it needs no leads
-        leads, basis = (), [_integral_vector(flat.point(), flat.order)]
+    leads, basis = eliminate(map(sparse_row, flat.span_basis()), nvars,
+                             flat.order).echelon()
     images = _expansions(basis, nvars, d - k)
     # by_mu[j][g]: the coefficient of the j-th s-monomial in image g
     by_mu = list(zip(*images))
     smonos = graded_monomials(svars, d - k)
     kept = [[by_mu[j] for j, mu in enumerate(smonos) if not any(mu[:last])]
             for last in range(svars)]
-    ncols = len(graded_monomials(nvars, d))
     rows = []
     for beta, (columns, scales) in zip(graded_monomials(nvars, k),
                                        _derivative_table(nvars, k, d - k)):
@@ -379,11 +372,10 @@ def component_rows(flat: Flat, mult: int, d: int):
             if beta[i]:
                 last = t
         for coeffs in kept[last]:
-            row = [0] * ncols
-            for v, col, scale in zip(coeffs, columns, scales):
-                if v:
-                    row[col] = v if scale == 1 else v * scale
-            rows.append(tuple(row))
+            # coeffs holds None or 0 for an absent term; compress drops both
+            terms = itertools.compress(zip(coeffs, scales), coeffs)
+            rows.append((tuple(itertools.compress(columns, coeffs)),
+                         tuple([v if scale == 1 else v * scale for v, scale in terms])))
     rows.reverse()
     return rows
 
@@ -511,23 +503,54 @@ class ConditionMatrix:
         rows = [row for flat, mult in reps for row in component_rows(flat, mult, d)]
         return cls(comb(N + d, N), order, list(blocks.values()), rows)
 
+    def _where(self) -> list:
+        """For each column, its (block index, column within the block)."""
+        where = [None] * self.ncols
+        for b, cols in enumerate(self.blocks):
+            for local, c in enumerate(cols):
+                where[c] = b, local
+        return where
+
     def eliminator(self) -> Eliminator:
-        """One Eliminator per block, fed each row's block part, joined."""
+        """One Eliminator per block, fed each row's block parts, joined.
+        A row is split through its nonzeros only, into sparse rows whose
+        local columns ascend with the row's."""
         parts = [(Eliminator(len(cols), self.order), cols) for cols in self.blocks]
-        for row in self.rows:
-            for elim, cols in parts:
+        where = self._where()
+        for cols, vals in self.rows:
+            split: dict[int, tuple] = {}
+            for c, v in zip(cols, vals):
+                b, local = where[c]
+                part = split.get(b)
+                if part is None:
+                    part = split[b] = [], []
+                part[0].append(local)
+                part[1].append(v)
+            for b, part in split.items():
+                elim = parts[b][0]
                 if elim.rank < elim.ncols:  # a full block takes no more rows
-                    part = [row[c] for c in cols]
-                    if any(part):
-                        elim.add_field_row(part)
+                    elim.add_field_row(part)
         return Eliminator.join(parts, self.ncols, self.order)
 
     def contains(self, vec) -> bool:
         """Whether the form with coefficient vector vec lies in (I_Z)_d: the
-        rows annihilate each block part of vec, dotted over its support."""
-        supports = [[c for c in cols if vec[c]] for cols in self.blocks]
-        return all(row_dot([row[c] for c in cols], [vec[c] for c in cols]).is_zero()
-                   for cols in supports if cols for row in self.rows)
+        rows annihilate each block part of vec, each row dotted only over
+        its nonzeros where vec is nonzero too."""
+        where = self._where()
+        for cols, vals in self.rows:
+            split: dict[int, tuple] = {}
+            for c, v in zip(cols, vals):
+                x = vec[c]
+                if x:
+                    b = where[c][0]
+                    part = split.get(b)
+                    if part is None:
+                        part = split[b] = [], []
+                    part[0].append(v)
+                    part[1].append(x)
+            if not all(row_dot(a, x).is_zero() for a, x in split.values()):
+                return False
+        return True
 
 
 def forms_vanish(Z: FatScheme, forms) -> bool:

@@ -33,7 +33,13 @@ threshold d >= m-1 on.
 kernel_basis_rows builds a component's condition rows through the
 equations' kernel basis, with its units at the free columns, and the
 filter over those columns: other rows than component_rows, with the
-same span.
+same span.  Its basis vectors are scaled to primitive integral
+coordinates by integral_vector, as a point's span vector was before
+points took their basis from Eliminator.echelon like every other flat.
+
+dense_row writes a sparse row (cols, vals), the linalg row format, out
+in full for the dense oracles; flat_ints reads a row's values in the
+integer coordinates the Eliminator works in, as one primitive list.
 
 condition_rows is the full condition matrix of a scheme: every
 component's component_rows, with no symmetry blocks.  rank_kernel
@@ -57,15 +63,40 @@ the library's parametric family, which the tests compare against them.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from fermatarr.arrange import Flat
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.formulas import BuiltFormula
-from fermatarr.linalg import eliminate, kernel_of_rref, row_dot, rref
+from fermatarr.linalg import (_field_entries, _field_row_to_int, eliminate,
+                              kernel_of_rref, row_dot, rref, sparse_row)
 from fermatarr.mpoly import MultiPoly, graded_monomials
-from fermatarr.scheme import (_derivative_table, _expansions, _integral_vector,
-                              component_rows, named_configuration)
+from fermatarr.scheme import (_derivative_table, _expansions, component_rows,
+                              named_configuration)
+
+
+def dense_row(row, ncols: int) -> list:
+    """A sparse row (cols, vals) as a dense list of ncols entries."""
+    out = [0] * ncols
+    for c, v in zip(*row):
+        out[c] = v
+    return out
+
+
+def flat_ints(row, ncols: int, order: int) -> list:
+    """The ncols*phi integer coordinates of a sparse row over Q(e_order),
+    the phi coefficients of each entry in turn, divided by their positive
+    content."""
+    coeffs, cols = _field_row_to_int(row, order, euler_phi(order))
+    g = gcd(*coeffs)
+    return dense_row((cols, [v // g for v in coeffs]), ncols * euler_phi(order))
+
+
+def integral_vector(vec, order: int) -> tuple:
+    """vec scaled to primitive integral coordinates: rational entries as
+    ints, the others as CyclotomicNumbers."""
+    vals = flat_ints(sparse_row(vec), len(vec), order)
+    return tuple(_field_entries(vals, order, euler_phi(order)))
 
 
 def regular_block(value: CyclotomicNumber):
@@ -172,26 +203,23 @@ def kernel_basis_rows(flat, mult: int, d: int):
     """The rows (beta, mu) of component_rows, k = min(mult, d+1)-1, for
     the span basis b_t with its unit at free[t], the t-th free column of
     flat.equations, keeping mu[:last] = 0 for last the largest t with
-    beta[free[t]] > 0 (else 0); in graded order of beta, then mu."""
+    beta[free[t]] > 0 (else 0); in graded order of beta, then mu, as
+    sparse rows."""
     nvars = flat.ambient + 1
     k = min(mult, d + 1) - 1
     pivots = {next(i for i, c in enumerate(row) if c) for row in flat.equations}
     free = [i for i in range(nvars) if i not in pivots]
-    basis = [_integral_vector(vec, flat.order) for vec in flat.span_basis()]
+    basis = [integral_vector(vec, flat.order) for vec in flat.span_basis()]
     by_mu = list(zip(*_expansions(basis, nvars, d - k)))
     smonos = graded_monomials(flat.dim + 1, d - k)
-    ncols = len(graded_monomials(nvars, d))
     rows = []
     for beta, (columns, scales) in zip(graded_monomials(nvars, k),
                                        _derivative_table(nvars, k, d - k)):
         last = max((t for t, i in enumerate(free) if beta[i]), default=0)
         for coeffs, mu in zip(by_mu, smonos):
             if not any(mu[:last]):
-                row = [0] * ncols
-                for v, col, scale in zip(coeffs, columns, scales):
-                    if v:
-                        row[col] = v * scale
-                rows.append(tuple(row))
+                rows.append(tuple(zip(*[(col, v * scale) for v, col, scale
+                                        in zip(coeffs, columns, scales) if v])))
     return rows
 
 
@@ -297,10 +325,11 @@ def vanishes_by_rows(poly: MultiPoly, npoint: int, Z) -> bool:
         for deg, terms in by_degree.items():
             column = {mono: j for j, mono in enumerate(graded_monomials(nvars, deg))}
             for row in component_rows(flat, 1, deg):
+                entries = dict(zip(*row))
                 acc = {}
                 for alpha, beta, c in terms:
-                    if row[column[beta]]:
-                        acc[alpha] = acc.get(alpha, 0) + c * row[column[beta]]
+                    if column[beta] in entries:
+                        acc[alpha] = acc.get(alpha, 0) + c * entries[column[beta]]
                 if any(acc.values()):
                     return False
     return True

@@ -275,5 +275,5 @@ def test_criterion_11_property_suites():
             assert len(kernel) == len(monos) - rank
             for poly in kernel:
                 vec = poly.coeff_vector(monos)
-                for row in rows:
-                    assert row_dot(row, vec).is_zero()
+                for cols, vals in rows:
+                    assert row_dot(vals, [vec[c] for c in cols]).is_zero()

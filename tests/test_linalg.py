@@ -4,17 +4,19 @@ independent rational blow-up oracle (tests/helpers.py)."""
 import random
 from fractions import Fraction
 
-from helpers import (field_rank_oracle, field_rref_oracle, kernel_basis,
-                     kernel_of_rows)
+from helpers import (dense_row, field_rank_oracle, field_rref_oracle,
+                     kernel_basis, kernel_of_rows)
 
 from fermatarr import linalg
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.linalg import (
     Eliminator,
     eliminate,
+    kernel_of_rref,
     rank_of_field_rows,
     row_dot,
     rref,
+    sparse_row,
 )
 
 ORDERS = (1, 3, 4, 5, 8)
@@ -45,7 +47,7 @@ def test_rank_matches_blowup_oracle():
             nrows = rng.randint(1, 10)
             ncols = rng.randint(1, 12)
             rows = _random_matrix(rng, nrows, ncols, order)
-            assert rank_of_field_rows(rows, ncols, order) \
+            assert rank_of_field_rows(map(sparse_row, rows), ncols, order) \
                 == field_rank_oracle(rows, order)
 
 
@@ -59,7 +61,7 @@ def test_rank_with_planted_dependencies():
             else CyclotomicNumber.from_rational(3)
         comb2 = [scale * (a - b) for a, b in zip(base[1], base[3])]
         rows = base + [comb1, comb2]
-        got = rank_of_field_rows(rows, 10, order)
+        got = rank_of_field_rows(map(sparse_row, rows), 10, order)
         assert got == field_rank_oracle(rows, order)
         assert got <= 4
 
@@ -72,7 +74,7 @@ def test_eliminator_incremental_rank_and_novelty_flag():
     elim = Eliminator(ncols, order)
     prev = 0
     for i, row in enumerate(rows):
-        novel = elim.add_field_row(row)
+        novel = elim.add_field_row(sparse_row(row))
         assert elim.rank == field_rank_oracle(rows[: i + 1], order)
         assert novel == (elim.rank == prev + 1)
         prev = elim.rank
@@ -82,7 +84,7 @@ def test_zero_rows_never_increase_rank():
     order = 4
     elim = Eliminator(5, order)
     zero = [CyclotomicNumber.zero(order)] * 5
-    assert not elim.add_field_row(zero)
+    assert not elim.add_field_row(sparse_row(zero))
     assert elim.rank == 0
 
 
@@ -157,7 +159,7 @@ def test_sparse_rows_match_oracles():
             rows = _sparse_matrix(rng, nrows, ncols, order, density)
             elim = Eliminator(ncols, order)
             for row in rows:
-                elim.add_field_row(row)
+                elim.add_field_row(sparse_row(row))
             assert elim.rank == field_rank_oracle(rows, order)
             pivots, red = elim.reduced()
             want_pivots, want = field_rref_oracle(rows, ncols, order)
@@ -178,7 +180,7 @@ def test_echelon_has_rational_leads_and_the_same_span():
         for nrows, ncols in ((1, 4), (2, 5), (3, 5), (4, 7), (6, 6)):
             rows = _random_matrix(rng, nrows, ncols, order)
             rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
-            elim = eliminate(rows, ncols, order)
+            elim = eliminate(map(sparse_row, rows), ncols, order)
             pivots, basis = elim.echelon()
             assert pivots == elim.reduced()[0]
             for col, row in zip(pivots, basis):
@@ -195,18 +197,18 @@ def test_clone_isolation():
     ncols = 7
     elim = Eliminator(ncols, order)
     for row in _random_matrix(rng, 3, ncols, order):
-        elim.add_field_row(row)
+        elim.add_field_row(sparse_row(row))
     base_rank = elim.rank
     fork = elim.clone()
     extra = _random_matrix(rng, 3, ncols, order)
     for row in extra:
-        fork.add_field_row(row)
+        fork.add_field_row(sparse_row(row))
     assert elim.rank == base_rank
     assert fork.rank >= base_rank
     # the parent accepts the same rows afterwards with identical outcome
     again = elim.clone()
     for row in extra:
-        again.add_field_row(row)
+        again.add_field_row(sparse_row(row))
     assert again.rank == fork.rank
     # clones share the base's pivots, nonzero positions and coefficients
     # alike: sparse rows reduced against them in two clones leave the base
@@ -215,10 +217,11 @@ def test_clone_isolation():
         ncols = 16
         base = Eliminator(ncols, order)
         for row in _sparse_matrix(rng, 6, ncols, order, 0.25):
-            base.add_field_row(row)
+            base.add_field_row(sparse_row(row))
         rank, red = base.rank, base.reduced()
         one, two = base.clone(), base.clone()
         for row in _sparse_matrix(rng, 8, ncols, order, 0.3):
+            row = sparse_row(row)
             assert one.add_field_row(row) == two.add_field_row(row)
         assert one.rank == two.rank > rank
         assert one.reduced() == two.reduced()
@@ -234,14 +237,14 @@ def test_kernel_vectors_annihilated_by_all_rows():
         rows = _random_matrix(rng, 5, ncols, order)
         elim = Eliminator(ncols, order)
         for row in rows:
-            elim.add_field_row(row)
+            elim.add_field_row(sparse_row(row))
         basis = kernel_basis(elim)
         assert len(basis) == ncols - elim.rank
         for vec in basis:
             for row in rows:
                 assert row_dot(row, vec).is_zero()
         # basis vectors are independent
-        assert rank_of_field_rows(basis, ncols, order) == len(basis)
+        assert rank_of_field_rows(map(sparse_row, basis), ncols, order) == len(basis)
 
 
 def test_kernel_of_rows_function():
@@ -262,7 +265,8 @@ def test_rref_canonical_shape():
     ncols = 6
     rows = _random_matrix(rng, 4, ncols, order)
     pivots, red = rref(rows, ncols, order)
-    assert len(pivots) == len(red) == rank_of_field_rows(rows, ncols, order)
+    assert len(pivots) == len(red) \
+        == rank_of_field_rows(map(sparse_row, rows), ncols, order)
     one = CyclotomicNumber.one(order)
     for r, pc in enumerate(pivots):
         assert red[r][pc] == one.lift(red[r][pc].order)
@@ -285,11 +289,11 @@ def test_rref_canonical_shape():
     # reducing a clone leaves the pivots it shares with its base alone
     base = Eliminator(ncols, order)
     for row in rows[:2]:
-        base.add_field_row(row)
+        base.add_field_row(sparse_row(row))
     before = kernel_basis(base)
     fork = base.clone()
     for row in _random_matrix(rng, 3, ncols, order):
-        fork.add_field_row(row)
+        fork.add_field_row(sparse_row(row))
     fork.reduced()
     assert kernel_basis(base) == before
 
@@ -298,10 +302,10 @@ def test_rational_rows_order_one_path():
     rng = random.Random(17)
     rows = [[CyclotomicNumber.from_rational(rng.randint(-4, 4))
              for _ in range(5)] for _ in range(7)]
-    assert rank_of_field_rows(rows, 5, 1) == field_rank_oracle(rows, 1)
+    assert rank_of_field_rows(map(sparse_row, rows), 5, 1) == field_rank_oracle(rows, 1)
     # a Fraction entry is its own first coefficient, as an int entry is
     mixed = [[Fraction(1, 2), 1, 0]]
-    assert rank_of_field_rows(mixed, 3, 1) == field_rank_oracle(mixed, 1) == 1
+    assert rank_of_field_rows(map(sparse_row, mixed), 3, 1) == field_rank_oracle(mixed, 1) == 1
     assert rref(mixed, 3, 1) == ([0], [(1, 2, 0)])
 
 
@@ -310,7 +314,7 @@ def test_wide_matrix_oracle_agreement():
     rng = random.Random(18)
     for order in (1, 3, 5):
         rows = _random_matrix(rng, 12, 40, order, )
-        assert rank_of_field_rows(rows, 40, order) \
+        assert rank_of_field_rows(map(sparse_row, rows), 40, order) \
             == field_rank_oracle(rows, order)
 
 
@@ -348,7 +352,8 @@ def test_mixed_int_and_cyclotomic_rows_match_field_rows():
         whole = Eliminator(ncols, order)
         part = Eliminator(ncols, order)
         for field_row, mixed_row in zip(rows, mixed):
-            assert whole.add_field_row(field_row) == part.add_field_row(mixed_row)
+            assert whole.add_field_row(sparse_row(field_row)) \
+                == part.add_field_row(sparse_row(mixed_row))
         assert part.rank == whole.rank == field_rank_oracle(rows, order) == 5
         assert kernel_basis(part) == kernel_basis(whole)
 
@@ -423,7 +428,7 @@ def test_rref_keeps_canonical_rows_and_matches_the_eliminator(monkeypatch):
             i = rng.randint(0, len(rows))
             misses.append(rows[:i] + [[0] * ncols] + rows[i:])
             for case, expect_eliminated in [(rows, False)] + [(m, True) for m in misses]:
-                want = _stored(real(case, ncols, order).reduced())
+                want = _stored(real(map(sparse_row, case), ncols, order).reduced())
                 del calls[:]
                 assert _stored(rref(case, ncols, order)) == want
                 assert bool(calls) == expect_eliminated
@@ -431,4 +436,57 @@ def test_rref_keeps_canonical_rows_and_matches_the_eliminator(monkeypatch):
         # random dense sets are eliminated too, and agree likewise
         rows = [[_entry(rng, order) if rng.random() < 0.7 else 0
                  for _ in range(5)] for _ in range(3)]
-        assert _stored(rref(rows, 5, order)) == _stored(eliminate(rows, 5, order).reduced())
+        assert _stored(rref(rows, 5, order)) \
+            == _stored(eliminate(map(sparse_row, rows), 5, order).reduced())
+
+
+def _sparse_rows(rng, nrows, ncols, order):
+    """nrows sparse rows (cols, vals) of ints, Fractions and
+    CyclotomicNumbers, written as sparse rows, their leads drawn from a
+    few columns so that some collide, then two dependent rows."""
+    leads = rng.sample(range(ncols), min(ncols, 3))
+    rows = []
+    for _ in range(nrows):
+        lead = rng.choice(leads)
+        later = range(lead + 1, ncols)
+        cols = [lead] + sorted(rng.sample(later, rng.randint(0, len(later))))
+        rows.append((tuple(cols), tuple(_entry(rng, order) for _ in cols)))
+    for _ in range(2):
+        (ca, va), (cb, vb) = rng.sample(rows, 2)
+        s, t = _entry(rng, order), _entry(rng, order)
+        combined = {c: s * v for c, v in zip(ca, va)}
+        for c, v in zip(cb, vb):
+            combined[c] = combined.get(c, 0) + t * v
+        cols = sorted(c for c, v in combined.items() if v)
+        rows.insert(rng.randint(0, len(rows)), (tuple(cols), tuple(combined[c] for c in cols)))
+    return rows
+
+
+def test_sparse_rows_match_the_dense_oracles(monkeypatch):
+    # rows fed as sparse rows, not through sparse_row: a row with a fresh
+    # lead is stored as it stands, one whose lead collides is densified
+    # and reduced; rank, RREF, echelon span and kernel must equal the
+    # dense oracles either way, over orders with phi = 1, 2, 2, 4, 6, 4
+    rng = random.Random(25)
+    densified = []
+    real = Eliminator._dense
+
+    def counted(self, *args):
+        densified.append(args)
+        return real(self, *args)
+    for order in (1, 3, 4, 5, 7, 8):
+        for _ in range(5):
+            ncols = rng.randint(3, 12)
+            rows = _sparse_rows(rng, rng.randint(2, 8), ncols, order)
+            dense = [dense_row(row, ncols) for row in rows]
+            with monkeypatch.context() as patched:
+                patched.setattr(Eliminator, "_dense", counted)
+                elim = eliminate(rows, ncols, order)
+            assert elim.rank == field_rank_oracle(dense, order)
+            want_pivots, want = field_rref_oracle(dense, ncols, order)
+            assert elim.reduced() == (want_pivots, want)
+            pivots, basis = elim.echelon()
+            assert pivots == want_pivots
+            assert field_rref_oracle(basis, ncols, order) == (want_pivots, want)
+            assert kernel_basis(elim) == kernel_of_rref(want, ncols, order)
+    assert densified  # some leads collided

@@ -5,15 +5,17 @@ import random
 
 import pytest
 from helpers import (chart_rows, condition_rows, conditions_count_line,
-                     conditions_count_line_p3, field_rank_oracle,
-                     general_point_count, kernel_basis_rows, vanishes_by_rows)
+                     conditions_count_line_p3, dense_row, field_rank_oracle,
+                     flat_ints, general_point_count, kernel_basis_rows,
+                     vanishes_by_rows)
 
 from fermatarr import linalg
 from fermatarr import scheme as scheme_module
 from fermatarr.arrange import Flat, derived_flats, fermat_arrangement, parse_spec
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.interp import hilbert_function, random_flat, system_dimension
-from fermatarr.linalg import Eliminator, _field_row_to_int, rank_of_field_rows, rref
+from fermatarr.linalg import (Eliminator, eliminate, rank_of_field_rows, row_dot,
+                              rref, sparse_row)
 from fermatarr.mpoly import MultiPoly, graded_monomials, parse_point, parse_poly
 from fermatarr.scheme import (
     FatScheme,
@@ -190,7 +192,7 @@ def _generator_span_dim(cfg, d):
             continue
         for mono in graded_monomials(nvars, d - g.degree()):
             mult = g * MultiPoly(nvars, {mono: 1})
-            elim.add_field_row(mult.coeff_vector(cols))
+            elim.add_field_row(sparse_row(mult.coeff_vector(cols)))
     return elim.rank
 
 
@@ -217,15 +219,15 @@ def test_m3_generator_list_is_truncated():
     elim = Eliminator(len(cols), cfg.scheme.root_order)
     for g in cfg.published_generators:
         for mono in graded_monomials(3, 5 - g.degree()):
-            elim.add_field_row((g * MultiPoly(3, {mono: 1})).coeff_vector(cols))
-    assert elim.add_field_row(missing.coeff_vector(cols))  # novel direction
+            elim.add_field_row(sparse_row((g * MultiPoly(3, {mono: 1})).coeff_vector(cols)))
+    vec = missing.coeff_vector(cols)
+    assert elim.add_field_row(sparse_row(vec))  # novel direction
     # yet it lies in the ideal: appending it to the condition rows' kernel test
     rows = condition_rows(cfg.scheme, 5)
     mat_rank = rank_of_field_rows(rows, len(cols), cfg.scheme.root_order)
     assert len(cols) - mat_rank == 10
-    from fermatarr.linalg import row_dot
-    for row in rows:
-        assert row_dot(row, missing.coeff_vector(cols)).is_zero()
+    for row_cols, vals in rows:
+        assert row_dot(vals, [vec[c] for c in row_cols]).is_zero()
 
 
 # -- conditions counts -------------------------------------------------------
@@ -307,7 +309,8 @@ def test_component_rows_are_independent_and_span_the_chart_rows():
         chart = chart_rows(flat, m, d)
         assert len(chart) == count
         assert len(rows) == rank_of_field_rows(rows, ncols, flat.order) == count
-        assert rank_of_field_rows(rows + chart, ncols, flat.order) == count
+        assert rank_of_field_rows(rows + [sparse_row(r) for r in chart], ncols,
+                                  flat.order) == count
 
 
 def test_component_rows_values_are_pinned():
@@ -318,7 +321,11 @@ def test_component_rows_values_are_pinned():
     # component_rows returns them in.  The rows through the equations'
     # kernel basis (kernel_basis_rows, whose digest is the one
     # component_rows had when it built its rows that way) differ on every
-    # positive-dimensional flat, but their RREF is the same
+    # positive-dimensional flat, but their RREF is the same.  On a point,
+    # kernel_basis_rows builds the rows through its span vector in
+    # primitive integral coordinates, as component_rows did before points
+    # took their basis from Eliminator.echelon: the flats' rows with the
+    # points' rows built that way keep the digest component_rows had then
     rng = random.Random(29)
     flats = [random_flat(rng, N, r, box=5) for N in range(1, 5) for r in range(N)]
     flats += [fl for fl, _ in named_configuration("LINES42").scheme.components[:2]]
@@ -327,29 +334,26 @@ def test_component_rows_values_are_pinned():
     flats.append(next(fl for fl, _ in
                       named_configuration("FERMAT_DUAL(7,1)").scheme.components
                       if fl.order > 1))
-    digest, kernel_digest = hashlib.sha256(), hashlib.sha256()
+    digest, kernel_digest, point_digest = (hashlib.sha256() for _ in range(3))
     for flat in flats:
-        phi = euler_phi(flat.order)
         for m in range(1, 5):
             for d in range(7):
-                rows = component_rows(flat, m, d)
+                rows = component_rows(flat, m, d)[::-1]
                 kernel_rows = kernel_basis_rows(flat, m, d)
                 ncols = len(graded_monomials(flat.ambient + 1, d))
-                assert rref(rows, ncols, flat.order) \
-                    == rref(kernel_rows, ncols, flat.order), (flat, m, d)
-                for dig, rs in ((digest, reversed(rows)),
-                                (kernel_digest, kernel_rows)):
+                assert eliminate(rows, ncols, flat.order).reduced() \
+                    == eliminate(kernel_rows, ncols, flat.order).reduced(), (flat, m, d)
+                for dig, rs in ((digest, rows), (kernel_digest, kernel_rows),
+                                (point_digest, rows if flat.dim else kernel_rows)):
                     for row in rs:
-                        dig.update(repr(_field_row_to_int(row, flat.order, phi)).encode())
+                        dig.update(repr(flat_ints(row, ncols, flat.order)).encode())
                     dig.update(b";")
     assert digest.hexdigest() == \
-        "d6b29590540d9583e9fd122a031a9942cab6aff5a14f51c59286b7cbb180c50b"
+        "02b638d71d774ea5979c9a6bc15d38c277969f14cdb713273d22b2e7ae960504"
     assert kernel_digest.hexdigest() == \
         "8c2db4e5628133b63286077d26bd5590f07c2d6afe8cf9fd819a311e4036dd5b"
-
-
-def _lead(row):
-    return next(i for i, v in enumerate(row) if v)
+    assert point_digest.hexdigest() == \
+        "d6b29590540d9583e9fd122a031a9942cab6aff5a14f51c59286b7cbb180c50b"
 
 
 def _lead_test_flats():
@@ -397,35 +401,53 @@ def _lead_test_flats():
     return flats
 
 
+def _catalogue_points():
+    """The points of B3_DUAL, FERMAT_DUAL(5..7, k), MULT4_POINTS(3..6) and
+    BMSS_P3, once each: rational ones and cyclotomic ones of orders 3 to
+    7, whose first nonzero coordinate is a root of unity or 1."""
+    ids = (["B3_DUAL", "BMSS_P3"]
+           + [f"FERMAT_DUAL({m},{k})" for m in (5, 6, 7) for k in range(4)]
+           + [f"MULT4_POINTS({n})" for n in range(3, 7)])
+    return list(dict.fromkeys(fl for cid in ids
+                              for fl, _ in named_configuration(cid).scheme.components))
+
+
 def test_component_rows_have_distinct_leads(monkeypatch):
     # so each row brings a lead no other row of its component has, and the
-    # Eliminator takes it without applying a pivot: over Q for points,
-    # over Q and Q(e_n) alike for lines and planes, whose echelon basis
-    # has rational leads
+    # echelon basis of every flat, a point's too, has rational leads, so
+    # each e-multiple of a row brings a fresh lead as well: the Eliminator
+    # stores every row and e-multiple as its pivot as it stands, with no
+    # dense copy made and no pivot applied
     flats = _lead_test_flats()
     assert {fl.order for fl in flats if fl.dim} == {1, 3}
     # the sparse spans and coordinate flats do not lead at 0..r
     assert sum(rref(fl.span_basis(), fl.ambient + 1, fl.order)[0]
                != list(range(fl.dim + 1)) for fl in flats if fl.dim) >= 10
-    # eliminated: every rational flat and one in four order-3 lines
+    # eliminated: every rational flat, every point, one in four order-3
+    # lines, and the catalogue's points
     lines = [fl for fl in flats if fl.dim and fl.order > 1]
-    eliminated = {fl for fl in flats if fl.order == 1} | set(lines[::4])
+    eliminated = ({fl for fl in flats if fl.order == 1 or not fl.dim}
+                  | set(lines[::4]))
+    points = _catalogue_points()
+    assert {fl.order for fl in points} == {1, 3, 4, 5, 6, 7}
 
-    def no_apply(*args):
-        raise AssertionError("a pivot was applied")
-    for fl in flats:
-        for m in range(1, 5):
-            for d in range(9):
-                rows = component_rows(fl, m, d)  # its echelon basis may apply
-                leads = [_lead(row) for row in rows]
-                assert len(set(leads)) == len(leads), (fl, m, d)
-                if fl in eliminated:
-                    with monkeypatch.context() as patched:
-                        patched.setattr(linalg, "_apply", no_apply)
-                        elim = Eliminator(len(graded_monomials(fl.ambient + 1, d)),
-                                          fl.order)
-                        assert all(elim.add_field_row(row) for row in rows), \
-                            (fl, m, d)
+    def refuse(*args):
+        raise AssertionError("a row was densified or reduced")
+    grid = [(m, d) for m in range(1, 5) for d in range(9)]
+    # the catalogue's points on fewer degrees, each multiplicity up to d = 8
+    cases = ([(fl, m, d) for fl in flats for m, d in grid]
+             + [(fl, m, d) for fl in points
+                for m, d in ((1, 8), (2, 5), (3, 8), (4, 3), (4, 8))])
+    for fl, m, d in cases:
+        rows = component_rows(fl, m, d)  # its echelon basis may apply
+        leads = [cols[0] for cols, _ in rows]
+        assert len(set(leads)) == len(leads), (fl, m, d)
+        if fl in eliminated or fl in points:
+            with monkeypatch.context() as patched:
+                patched.setattr(linalg, "_apply", refuse)
+                patched.setattr(Eliminator, "_dense", refuse)
+                elim = Eliminator(len(graded_monomials(fl.ambient + 1, d)), fl.order)
+                assert all(elim.add_field_row(row) for row in rows), (fl, m, d)
 
 
 def test_low_degree_components_kill_everything():
@@ -474,10 +496,10 @@ def test_rational_rows_are_int_valued_and_match_blowup_oracle():
                     cases.append((N, random_flat(rng, N, r, box=5), m, d))
     for N, flat, m, d in cases:
         rows = component_rows(flat, m, d)
-        assert all(type(v) is int for row in rows for v in row)
+        assert all(type(v) is int for _, vals in rows for v in vals)
         ncols = len(graded_monomials(N + 1, d))
         rank = rank_of_field_rows(rows, ncols, 1)
-        assert rank == field_rank_oracle(rows, 1)
+        assert rank == field_rank_oracle([dense_row(r, ncols) for r in rows], 1)
         assert len(rows) == rank == conditions_count(N, flat.dim, m, d)
 
 
@@ -494,10 +516,11 @@ def test_cyclotomic_point_rows_match_blowup_oracle():
                     rows = component_rows(flat, m, d)
                     # rows of order-0 expansions (d = m-1) hold only ints
                     assert any(isinstance(v, CyclotomicNumber)
-                               for row in rows for v in row) == (d > m - 1)
+                               for _, vals in rows for v in vals) == (d > m - 1)
                     ncols = len(graded_monomials(N + 1, d))
                     rank = rank_of_field_rows(rows, ncols, order)
-                    assert rank == field_rank_oracle(rows, order)
+                    assert rank == field_rank_oracle(
+                        [dense_row(r, ncols) for r in rows], order)
                     assert rank == conditions_count(N, 0, m, d)
 
 
@@ -515,7 +538,7 @@ def test_configuration_with_fat_point_matches_blowup_oracle(cid, d, m, rank):
     ncols = len(graded_monomials(3, d))
     order = cfg.scheme.root_order
     assert rank_of_field_rows(rows, ncols, order) \
-        == field_rank_oracle(rows, order) == rank
+        == field_rank_oracle([dense_row(r, ncols) for r in rows], order) == rank
 
 
 # -- scheme construction and the file format ---------------------------------
