@@ -82,10 +82,13 @@ def check_flat_budget(N: int, n: int, k: int, t: int | None = None) -> None:
 def _cyc_key(value: CyclotomicNumber):
     # Deterministic total order on field elements.  Rational values key at
     # order 1 regardless of representation; non-rational values key by
-    # their stored order, which is consistent within one arrangement.
+    # their stored order, which is consistent within one arrangement.  The
+    # coefficients are ints when the denominator is 1, which compare as
+    # their Fractions do, only faster.
+    coeffs = value.num if value.den == 1 else value.coeffs
     if value.is_rational():
-        return (1, (value.as_rational(),))
-    return (value.order, tuple(value.coeffs))
+        return (1, coeffs[:1])
+    return (value.order, coeffs)
 
 
 def _row_key(row):

@@ -1,8 +1,10 @@
 """Command-line front end: construct, verify, decide, report, render.
 
 Exit codes: 0 = computation completed (whatever the verdict), 1 = usage
-error, 2 = computation failure.  Outputs are byte-identical for identical
-inputs and seeds; wall times go to stderr only.
+error or refusal, 2 = computation failure, 3 = a check that the command
+printed failed (verify-formula, verify-generators).  Outputs are
+byte-identical for identical inputs and seeds; wall times go to stderr
+only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .render import (DEFAULT_GRID, DEFAULT_VIEWPORT, real_line_coefficients,
                      render_svg)
 from .scheme import (format_component, named_configuration, parse_scheme,
                      verify_published_generators)
+
+
+CHECK_FAILED = 3
 
 
 class UsageError(ValueError):
@@ -296,26 +301,24 @@ def cmd_verify_formula(args):
     result = report.as_dict()
     text = [f"family {report.family} on {report.config_id}, "
             f"degree {report.degree}"]
+    checks = []
     if report.built_degree is None:
         text.append("  closed form: none (existence-only family)")
     else:
         text.append(f"  built degree {report.built_degree}, "
                     f"point degree {report.point_degree}")
-        text.append(f"  vanishing on configuration: "
-                    f"{'pass' if report.vanishing else 'FAIL'}")
         mult_ok = (report.multiplicity_certified
                    and report.multiplicity_attained
                    == report.multiplicity_expected)
-        text.append(f"  multiplicity {report.multiplicity_attained} "
-                    f"(expected {report.multiplicity_expected}): "
-                    f"{'pass' if mult_ok else 'FAIL'}")
-        text.append(f"  specialized kernel membership: "
-                    f"{'pass' if report.kernel_member else 'FAIL'}")
-    text.append(f"  unique (actual dimension 1): "
-                f"{'pass' if report.unique else 'FAIL'}")
+        checks += [("vanishing on configuration", report.vanishing),
+                   (f"multiplicity {report.multiplicity_attained} "
+                    f"(expected {report.multiplicity_expected})", mult_ok),
+                   ("specialized kernel membership", report.kernel_member)]
+    checks.append(("unique (actual dimension 1)", report.unique))
+    text += [f"  {name}: {'pass' if ok else 'FAIL'}" for name, ok in checks]
     text.append(f"  unexpected: "
                 f"{'yes' if report.decision.unexpected else 'no'}")
-    return params, result, text
+    return params, result, text, all(ok for _, ok in checks)
 
 
 def cmd_verify_generators(args):
@@ -331,7 +334,7 @@ def cmd_verify_generators(args):
               "all_vanish": ok}
     text = [f"{cfg.id}: {len(cfg.published_generators)} generators, "
             f"{'all vanish on the configuration' if ok else 'FAIL'}"]
-    return params, result, text
+    return params, result, text, ok
 
 
 def cmd_render(args):
@@ -377,7 +380,7 @@ def cmd_render(args):
 def _emit(args, command: str, bundle):
     if bundle is None:
         return
-    params, result, text = bundle
+    params, result, text = bundle[:3]
     if getattr(args, "format", "text") == "structured":
         record = {"version": __version__, "command": command,
                   "params": params, "result": result}
@@ -408,6 +411,9 @@ def main(argv=None) -> int:
         return 2
     _emit(args, args.command, bundle)
     print(f"wall {time.perf_counter() - start:.3f}s", file=sys.stderr)
+    # a check command's bundle ends with whether every printed check passed
+    if bundle is not None and not all(bundle[3:]):
+        return CHECK_FAILED
     return 0
 
 

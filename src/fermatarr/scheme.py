@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import comb, lcm, perm
 
 from .arrange import (BudgetError, Flat, check_flat_budget, derived_flats,
-                      dual_points, fermat_arrangement, parse_id)
+                      fermat_arrangement, parse_id)
 from .cyclo import CyclotomicNumber, euler_phi
 from .linalg import Eliminator, eliminate, row_dot, sparse_row
 from .mpoly import (MultiPoly, default_names, format_point, graded_monomials,
@@ -644,29 +644,58 @@ def _derived_scheme(N: int, n: int, t: int, min_hyperplanes: int) -> FatScheme:
     return FatScheme(N, [(fl, 1) for fl in flats])
 
 
+# The point sets below are written from their closed forms with the last
+# nonzero coordinate of every point equal to 1, so that Flat.from_point
+# takes each as its canonical RREF as it stands and no elimination runs.
+
+def _coordinate_points(N: int, count: int) -> list:
+    """The first count coordinate points of P^N."""
+    return [tuple(_ONE if j == i else _ZERO for j in range(N + 1))
+            for i in range(count)]
+
+
 def _unit_points(N: int) -> list:
     """The N+1 coordinate points of P^N and the 3^N points
-    (1 : e(3)^a1 : ... : e(3)^aN).  For N = 3 they are the 31 points of
-    BMSS_P3, on which verify_published_generators checks that its 8
-    published quartics vanish."""
-    powers = [CyclotomicNumber.root(3) ** a for a in range(3)]
-    points = [tuple(_ONE if j == i else _ZERO for j in range(N + 1))
-              for i in range(N + 1)]
-    points += [(_ONE,) + tuple(powers[a] for a in expo)
+    (1 : e(3)^a1 : ... : e(3)^aN), in lexicographic order of (a1, ..., aN),
+    each scaled by e(3)^-aN.  For N = 3 they are the 31 points of BMSS_P3,
+    on which verify_published_generators checks that its 8 published
+    quartics vanish."""
+    powers = [CyclotomicNumber.root(3, a) for a in range(3)]
+    points = _coordinate_points(N, N + 1)
+    points += [tuple(powers[(a - expo[-1]) % 3] for a in (0, *expo))
                for expo in itertools.product(range(3), repeat=N)]
     return points
 
 
 def _fermat_dual(m: int, k: int) -> FatScheme:
+    """The 3m + k dual points of A(3,k,m) in the order of its hyperplanes
+    (arrange.dual_points): the coordinate points of x_0, ..., x_(k-1), then
+    for i < j and a in [m] the point of x_i - e(m)^a x_j, written with
+    -e(m)^-a at i and 1 at j."""
     if m < 1 or not 0 <= k <= 3:
         raise ValueError("FERMAT_DUAL requires m >= 1 and 0 <= k <= 3")
-    return _points_scheme(dual_points(fermat_arrangement(2, m, k - 1)), 2)
+    check_flat_budget(2, m, k - 1)
+    points = _coordinate_points(2, k)
+    for i, j in itertools.combinations(range(3), 2):
+        for a in range(m):
+            point = [_ZERO] * 3
+            point[i], point[j] = -CyclotomicNumber.root(m, -a), _ONE
+            points.append(tuple(point))
+    return _points_scheme(points, 2)
 
 
 def _mult4_points(n: int) -> FatScheme:
+    """The n^2 + 3 points of A(3,0,n) on at least two of its lines, sorted
+    as derived_flats sorts them: the coordinate points, each on n lines,
+    and the points (e(n)^a : e(n)^b : 1), a, b in [n], each on three.  The
+    flat budget counts the descent that derived_flats would make."""
     if n < 3:
         raise ValueError("MULT4_POINTS requires n >= 3")
-    return _derived_scheme(2, n, 0, 2)
+    check_flat_budget(2, n, -1, 0)
+    roots = [CyclotomicNumber.root(n, a) for a in range(n)]
+    points = _coordinate_points(2, 3) + [(x, y, _ONE) for x in roots for y in roots]
+    flats = sorted(map(Flat.from_point, points), key=Flat.sort_key)
+    return FatScheme(2, [(fl, 1) for fl in flats])
 
 
 # head -> (number of parameters, builder of the scheme from them)

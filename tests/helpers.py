@@ -23,6 +23,14 @@ The derived-flats oracle is the all-pairs descent: every flat meets every
 hyperplane that does not contain it, so each meet of a flat with a
 hyperplane is made from both sides.
 
+eliminated_configuration builds a catalogue id's components by
+elimination, the route the catalogue's closed forms are checked
+against: MULT4_POINTS(n) as derived_flats' points of A(3,0,n),
+FERMAT_DUAL(m,k) and B3_DUAL as the dual points of A(3,k,m), and
+BMSS_P3 and P5_MULTI as the unit points led by 1.  The dual and unit
+points go through Flat.from_point, which eliminates each one whose last
+nonzero coordinate is not 1.
+
 catalogue_points lists the coordinates of 389 catalogue points, rational
 and cyclotomic at orders 3, 6, 7 and 12, for the text round trips.
 
@@ -62,10 +70,12 @@ published B3 quartic, M3 quintic and M4 sextic term by term, apart from
 the library's parametric family, which the tests compare against them.
 """
 
+import itertools
 from fractions import Fraction
 from math import comb, gcd
 
-from fermatarr.arrange import Flat
+from fermatarr.arrange import (Flat, derived_flats, dual_points,
+                               fermat_arrangement, parse_id)
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.formulas import BuiltFormula
 from fermatarr.linalg import (_field_entries, _field_row_to_int, eliminate,
@@ -254,6 +264,26 @@ def all_pairs_derived_counts(arr, t: int) -> dict:
                     nxt.setdefault(below, set()).update(on, (i,))
         current = nxt
     return {fl: len(on) for fl, on in current.items()}
+
+
+def eliminated_configuration(cid: str) -> list:
+    """The (flat, multiplicity) components of the catalogue point set cid,
+    built by elimination."""
+    head, params = parse_id(cid, "configuration")
+    if head == "MULT4_POINTS":
+        flats = derived_flats(fermat_arrangement(2, *params, -1), 0, 2)
+    elif head in ("FERMAT_DUAL", "B3_DUAL"):
+        m, k = params or (2, 3)
+        flats = [Flat.from_point(p)
+                 for p in dual_points(fermat_arrangement(2, m, k - 1))]
+    else:
+        N = {"BMSS_P3": 3, "P5_MULTI": 5}[head]
+        w = CyclotomicNumber.root(3)
+        points = [tuple(int(i == j) for j in range(N + 1)) for i in range(N + 1)]
+        points += [(1, *(w ** a for a in expo))
+                   for expo in itertools.product(range(3), repeat=N)]
+        flats = [Flat.from_point(p) for p in points]
+    return [(fl, 1) for fl in flats]
 
 
 def catalogue_points() -> list:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, text and structured output, determinism, files."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -348,6 +349,29 @@ def test_verify_generators_command(capsys):
     assert code == 0
     assert json.loads(out)["result"] == {"generator_count": 8,
                                          "all_vanish": True}
+
+
+def test_a_failed_check_exits_3(capsys, monkeypatch):
+    # one check made to fail: the output is printed in full, FAIL and all,
+    # and the exit code is neither 0 nor a refusal's 1 or a failure's 2
+    real = fermatarr.cli.verify_family
+
+    def no_kernel_member(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), kernel_member=False)
+    monkeypatch.setattr(fermatarr.cli, "verify_family", no_kernel_member)
+    code, out, _ = run(capsys, "verify-formula", "--config-id", "B3",
+                       "--trials", "1")
+    assert code == 3
+    assert "specialized kernel membership: FAIL" in out
+    assert "unique (actual dimension 1): pass" in out
+
+    monkeypatch.setattr(fermatarr.cli, "verify_published_generators",
+                        lambda cfg: False)
+    code, out, _ = run(capsys, "verify-generators", "--config-id", "LINES42",
+                       "--format", "structured")
+    assert code == 3
+    assert json.loads(out)["result"] == {"generator_count": 6,
+                                         "all_vanish": False}
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -5,13 +5,14 @@ import random
 
 import pytest
 from helpers import (chart_rows, condition_rows, conditions_count_line,
-                     conditions_count_line_p3, dense_row, field_rank_oracle,
-                     flat_ints, general_point_count, kernel_basis_rows,
-                     vanishes_by_rows)
+                     conditions_count_line_p3, dense_row,
+                     eliminated_configuration, field_rank_oracle, flat_ints,
+                     general_point_count, kernel_basis_rows, vanishes_by_rows)
 
 from fermatarr import linalg
 from fermatarr import scheme as scheme_module
-from fermatarr.arrange import Flat, derived_flats, fermat_arrangement, parse_spec
+from fermatarr.arrange import (BudgetError, Flat, derived_flats,
+                               fermat_arrangement, parse_spec)
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
 from fermatarr.interp import hilbert_function, random_flat, system_dimension
 from fermatarr.linalg import (Eliminator, eliminate, rank_of_field_rows, row_dot,
@@ -87,15 +88,33 @@ def test_bmss_contains_all_four_coordinate_points():
         assert parse_point(s) in pts
 
 
-def test_bmss_is_the_unit_points_of_p3_in_order():
-    # the 4 coordinate points, then (1 : w^a : w^b : w^c) for w = e(3)
-    # and (a, b, c) in lexicographic order: 31 points
-    w = CyclotomicNumber.root(3)
-    points = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    points += [(1, w ** a, w ** b, w ** c)
-               for a in range(3) for b in range(3) for c in range(3)]
-    cfg = named_configuration("BMSS_P3")
-    assert cfg.scheme.components == tuple((Flat.from_point(p), 1) for p in points)
+@pytest.mark.parametrize("cid", (
+    [f"MULT4_POINTS({n})" for n in range(3, 13)]
+    + [f"FERMAT_DUAL({m},{k})" for m in range(1, 9) for k in range(4)]
+    + ["B3_DUAL", "BMSS_P3", "P5_MULTI"]))
+def test_closed_form_point_sets_match_elimination(cid, monkeypatch):
+    # every point is written in its canonical form, so none is eliminated;
+    # and they are the same flats in the same order, at the same order,
+    # with the same span basis, as the point sets found by elimination
+    def no_elimination(*args):
+        raise AssertionError("a point was eliminated")
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "eliminate", no_elimination)
+        comps = named_configuration(cid).scheme.components
+    eliminated = eliminated_configuration(cid)
+    assert list(comps) == eliminated
+    for (flat, _), (old, _) in zip(comps, eliminated):
+        assert flat.order == old.order
+        assert flat.span_basis() == old.span_basis()
+
+
+@pytest.mark.parametrize("cid", ["MULT4_POINTS(3000)", "FERMAT_DUAL(1000000,0)"])
+def test_oversize_point_sets_are_refused_before_any_point(cid, monkeypatch):
+    def no_root(*args):
+        raise AssertionError("a root of unity was built")
+    monkeypatch.setattr(CyclotomicNumber, "root", staticmethod(no_root))
+    with pytest.raises(BudgetError, match="FLAT_BUDGET"):
+        named_configuration(cid)
 
 
 def test_published_generators_are_parsed_on_first_read(monkeypatch):
