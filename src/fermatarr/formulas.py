@@ -15,6 +15,7 @@ ConditionMatrix contains it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, replace
@@ -66,84 +67,75 @@ class BuiltFormula:
                 f"mult={self.multiplicity}, {len(self.poly.terms)} terms)")
 
 
-def _ring(n: int):
-    """The n variables of a combined ring, point variables first."""
-    return [MultiPoly.variable(i, n) for i in range(n)]
+def _cyclic_orbits(terms) -> MultiPoly:
+    """The polynomial in (a, b, c, x0, x1, x2) that sums the (integer
+    coefficient, exponent tuple) terms and their images under the cyclic
+    shift a -> b -> c, x0 -> x1 -> x2 and under its square.
+
+    The terms enter in this order: all of them, then all their first
+    images, then all their second.  render adds a curve's terms as
+    floats in that order, into one sum per power of x0, and float sums
+    depend on their order.  So each builder lists its terms such that
+    every one of those sums meets its terms in the order of the paper's
+    product form, up to a swap of its first two, which float addition
+    from 0.0 cannot tell apart; render then draws what it drew from the
+    product forms.
+    """
+    terms = list(terms)
+    out: dict[tuple[int, ...], int] = {}
+    for _ in range(3):
+        for coeff, e in terms:
+            out[e] = out.get(e, 0) + coeff
+        terms = [(coeff, (c, a, b, x2, x0, x1))
+                 for coeff, (a, b, c, x0, x1, x2) in terms]
+    return MultiPoly(6, out)
 
 
 def fermat_family_curve(m: int) -> BuiltFormula:
     """The degree m+2 curve with an (m+1)-fold general point, m >= 2.
 
     One parametric family covering every admissible arrangement order;
-    the B3, M3 and M4 ids are m = 2, 3 and 4.  The tests check it term by
-    term against the paper's three fixed-order forms, transcribed apart
-    from it.  An m whose configuration, the dual of A(3, k_min, m), is
+    the B3, M3 and M4 ids are m = 2, 3 and 4.  For either parity of m it
+    is the cyclic sum of x0 * (b*x2 - c*x1)^(m+1): x0 times a power of
+    the line through the general point and (1 : 0 : 0).  The builder
+    writes one orbit representative per binomial term.  The tests check
+    it term by term against the paper's three fixed-order forms,
+    transcribed apart from it, and against the product form of each
+    parity.  An m whose configuration, the dual of A(3, k_min, m), is
     over FLAT_BUDGET is refused before any polynomial is built.
     """
     if m < 2:
         raise ValueError("family needs m >= 2")
     k_min = max(0, 5 - m)
     check_flat_budget(2, m, k_min - 1)
-    a, b, c, x0, x1, x2 = _ring(6)
-    if m % 2 == 0:
-        # Each orbit line carries its own point coordinate (a, b, c in
-        # turn); a common a-factor would break the cyclic symmetry of the
-        # paper's fixed-order forms.
-        q = MultiPoly.zero(6)
-        for k in range(1, m // 2 + 2):
-            co = math.comb(m + 1, 2 * k - 1)
-            s = m - (2 * k - 2)
-            t = 2 * k - 2
-            q = (q
-                 + co * a**(2 * k - 1) * (b**s * x1**t - c**s * x2**t)
-                 * x0**s * x1 * x2
-                 + co * b**(2 * k - 1) * (c**s * x2**t - a**s * x0**t)
-                 * x0 * x1**s * x2
-                 + co * c**(2 * k - 1) * (a**s * x0**t - b**s * x1**t)
-                 * x0 * x1 * x2**s)
+    # the binomial terms, k and m+1-k in pairs, in the order of the
+    # paper's product form of each parity (see _cyclic_orbits)
+    h = (m + 1) // 2
+    if m % 2:
+        ks = ([0, m + 1, m, 1]
+              + [k for i in range(2, h) for k in (i, m + 1 - i)] + [h])
     else:
-        h = (m + 1) // 2
-        q = (a**(m + 1) * x1 * x2 * (x1**m + x2**m)
-             + b**(m + 1) * x0 * x2 * (x0**m + x2**m)
-             + c**(m + 1) * x0 * x1 * (x0**m + x1**m)
-             - (m + 1) * (a * (b**m + c**m) * x0**m * x1 * x2
-                          + b * (a**m + c**m) * x0 * x1**m * x2
-                          + c * (a**m + b**m) * x0 * x1 * x2**m))
-        for k in range(2, h):
-            sgn = (-1)**k * math.comb(m + 1, k)
-            q = q + sgn * (
-                a**(m + 1 - k) * x0**k * x1 * x2
-                * (b**k * x1**(m - k) + c**k * x2**(m - k))
-                + b**(m + 1 - k) * x0 * x1**k * x2
-                * (a**k * x0**(m - k) + c**k * x2**(m - k))
-                + c**(m + 1 - k) * x0 * x1 * x2**k
-                * (a**k * x0**(m - k) + b**k * x1**(m - k)))
-        q = q + (-1)**h * math.comb(m + 1, h) * (
-            a**h * b**h * x0**h * x1**h * x2
-            + b**h * c**h * x0 * x1**h * x2**h
-            + a**h * c**h * x0**h * x1 * x2**h)
+        ks = [k for j in range(m, -1, -2) for k in (j, m + 1 - j)]
+    q = _cyclic_orbits(((-1)**k * math.comb(m + 1, k),
+                        (0, m + 1 - k, k, 1, k, m + 1 - k)) for k in ks)
     return BuiltFormula(f"GEN({m})", f"FERMAT_DUAL({m},{k_min})", npoint=3,
                         ncoord=3, degree=m + 2, multiplicity=m + 1, poly=q)
 
 
 def bmss_surface() -> BuiltFormula:
     """Degree-4 surface with a triple general point on the 31-point
-    configuration in projective 3-space."""
-    a, b, c, d, x0, x1, x2, x3 = _ring(8)
-    q = (b**2 * (c**3 - d**3) * x0**3 * x1
-         + a**2 * (d**3 - c**3) * x0 * x1**3
-         + c**2 * (d**3 - b**3) * x0**3 * x2
-         + c**2 * (a**3 - d**3) * x1**3 * x2
-         + a**2 * (b**3 - d**3) * x0 * x2**3
-         + b**2 * (d**3 - a**3) * x1 * x2**3
-         + d**2 * (b**3 - c**3) * x0**3 * x3
-         + d**2 * (c**3 - a**3) * x1**3 * x3
-         + d**2 * (a**3 - b**3) * x2**3 * x3
-         + a**2 * (c**3 - b**3) * x0 * x3**3
-         + b**2 * (a**3 - c**3) * x1 * x3**3
-         + c**2 * (b**3 - a**3) * x2 * x3**3)
+    configuration in projective 3-space: the alternating sum, over the
+    permutations (i, j, k, l) of the four indices, of
+    p_j^2 * p_k^3 * x_i^3 * x_j, with p = (a, b, c, d)."""
+    terms = {}
+    for perm in itertools.permutations(range(4)):
+        i, j, k, _ = perm
+        e = [0] * 8
+        e[j], e[k], e[4 + i], e[4 + j] = 2, 3, 3, 1
+        inversions = sum(s > t for s, t in itertools.combinations(perm, 2))
+        terms[tuple(e)] = (-1)**inversions
     return BuiltFormula("BMSS", "BMSS_P3", npoint=4, ncoord=4,
-                        degree=4, multiplicity=3, poly=q)
+                        degree=4, multiplicity=3, poly=MultiPoly(8, terms))
 
 
 def mult4_weights(n: int) -> tuple[int, int, int]:
@@ -154,22 +146,26 @@ def mult4_weights(n: int) -> tuple[int, int, int]:
 def mult4_curve(n: int) -> BuiltFormula:
     """Degree n+2 curve with a 4-fold general point for the n^2+3 points
     derived from the order-n arrangement without coordinate lines, n >= 3.
-    An n whose descent to those points is over FLAT_BUDGET is refused
-    before any polynomial is built."""
+    The builder writes one orbit representative of the paper's form,
+    eight terms.  An n whose descent to those points is over FLAT_BUDGET
+    is refused before any polynomial is built."""
     if n < 3:
         raise ValueError("family needs n >= 3")
     check_flat_budget(2, n, -1, 0)
     u, v, w = mult4_weights(n)
-    a, b, c, x, y, z = _ring(6)
-    q = (-(c * x * y) * ((u * b**n + v * c**n) * (z**n - x**n)
-                         + (u * a**n + v * c**n) * (y**n - z**n))
-         - (b * x * z) * ((u * a**n + v * b**n) * (y**n - z**n)
-                          + (u * c**n + v * b**n) * (x**n - y**n))
-         - (a * y * z) * ((u * b**n + v * a**n) * (z**n - x**n)
-                          + (u * c**n + v * a**n) * (x**n - y**n))
-         + w * a**(n - 1) * b * c * x**2 * (y**n - z**n)
-         + w * a * b**(n - 1) * c * y**2 * (z**n - x**n)
-         + w * a * b * c**(n - 1) * z**2 * (x**n - y**n))
+    # the paper's form is the cyclic sum of its c-line, expanded here in
+    # the order of the terms below (see _cyclic_orbits),
+    #   -c*x*y*(u*b^n*z^n + (u*a^n + v*c^n)*y^n - (u*b^n + v*c^n)*x^n
+    #           - u*a^n*z^n),
+    # and of w*a^(n-1)*b*c*x^2*(y^n - z^n)
+    q = _cyclic_orbits(((-u, (0, n, 1, 1, 1, n)),
+                        (-u, (n, 0, 1, 1, n + 1, 0)),
+                        (-v, (0, 0, n + 1, 1, n + 1, 0)),
+                        (u, (0, n, 1, n + 1, 1, 0)),
+                        (v, (0, 0, n + 1, n + 1, 1, 0)),
+                        (u, (n, 0, 1, 1, 1, n)),
+                        (w, (n - 1, 1, 1, 2, n, 0)),
+                        (-w, (n - 1, 1, 1, 2, 0, n))))
     return BuiltFormula(f"MULT4({n})", f"MULT4_POINTS({n})", npoint=3,
                         ncoord=3, degree=n + 2, multiplicity=4, poly=q)
 

@@ -68,6 +68,12 @@ products of equations with span bases.
 b3_quartic, quintic_curve and sextic_curve transcribe the paper's
 published B3 quartic, M3 quintic and M4 sextic term by term, apart from
 the library's parametric family, which the tests compare against them.
+
+family_curve_by_products, mult4_curve_by_products and
+bmss_surface_by_products build GEN(m), MULT4(n) and the BMSS surface as
+sums of MultiPoly products and powers of the ring variables, in the
+paper's grouping (GEN(m) in one form per parity of m): the reference
+for the library's builders, which write the same forms term by term.
 """
 
 import itertools
@@ -77,7 +83,7 @@ from math import comb, gcd
 from fermatarr.arrange import (Flat, derived_flats, dual_points,
                                fermat_arrangement, parse_id)
 from fermatarr.cyclo import CyclotomicNumber, euler_phi
-from fermatarr.formulas import BuiltFormula
+from fermatarr.formulas import BuiltFormula, mult4_weights
 from fermatarr.linalg import (_field_entries, _field_row_to_int, eliminate,
                               kernel_of_rref, row_dot, rref, sparse_row)
 from fermatarr.mpoly import MultiPoly, graded_monomials
@@ -433,3 +439,87 @@ def sextic_curve() -> BuiltFormula:
          + 5 * b * (c**4 - a**4) * x0 * x1**4 * x2
          + 5 * c * (a**4 - b**4) * x0 * x1 * x2**4)
     return _paper_form("M4", "FERMAT_DUAL(4,1)", 6, q)
+
+
+def _ring(n: int):
+    return [MultiPoly.variable(i, n) for i in range(n)]
+
+
+def family_curve_by_products(m: int) -> BuiltFormula:
+    """GEN(m), m >= 2, as a sum of products: one form for even m, in
+    which each orbit line carries its own point coordinate, and one for
+    odd m."""
+    a, b, c, x0, x1, x2 = _ring(6)
+    if m % 2 == 0:
+        q = MultiPoly.zero(6)
+        for k in range(1, m // 2 + 2):
+            co = comb(m + 1, 2 * k - 1)
+            s = m - (2 * k - 2)
+            t = 2 * k - 2
+            q = (q
+                 + co * a**(2 * k - 1) * (b**s * x1**t - c**s * x2**t)
+                 * x0**s * x1 * x2
+                 + co * b**(2 * k - 1) * (c**s * x2**t - a**s * x0**t)
+                 * x0 * x1**s * x2
+                 + co * c**(2 * k - 1) * (a**s * x0**t - b**s * x1**t)
+                 * x0 * x1 * x2**s)
+    else:
+        h = (m + 1) // 2
+        q = (a**(m + 1) * x1 * x2 * (x1**m + x2**m)
+             + b**(m + 1) * x0 * x2 * (x0**m + x2**m)
+             + c**(m + 1) * x0 * x1 * (x0**m + x1**m)
+             - (m + 1) * (a * (b**m + c**m) * x0**m * x1 * x2
+                          + b * (a**m + c**m) * x0 * x1**m * x2
+                          + c * (a**m + b**m) * x0 * x1 * x2**m))
+        for k in range(2, h):
+            sgn = (-1)**k * comb(m + 1, k)
+            q = q + sgn * (
+                a**(m + 1 - k) * x0**k * x1 * x2
+                * (b**k * x1**(m - k) + c**k * x2**(m - k))
+                + b**(m + 1 - k) * x0 * x1**k * x2
+                * (a**k * x0**(m - k) + c**k * x2**(m - k))
+                + c**(m + 1 - k) * x0 * x1 * x2**k
+                * (a**k * x0**(m - k) + b**k * x1**(m - k)))
+        q = q + (-1)**h * comb(m + 1, h) * (
+            a**h * b**h * x0**h * x1**h * x2
+            + b**h * c**h * x0 * x1**h * x2**h
+            + a**h * c**h * x0**h * x1 * x2**h)
+    k_min = max(0, 5 - m)
+    return BuiltFormula(f"GEN({m})", f"FERMAT_DUAL({m},{k_min})", npoint=3,
+                        ncoord=3, degree=m + 2, multiplicity=m + 1, poly=q)
+
+
+def mult4_curve_by_products(n: int) -> BuiltFormula:
+    """MULT4(n), n >= 3, as a sum of products."""
+    u, v, w = mult4_weights(n)
+    a, b, c, x, y, z = _ring(6)
+    q = (-(c * x * y) * ((u * b**n + v * c**n) * (z**n - x**n)
+                         + (u * a**n + v * c**n) * (y**n - z**n))
+         - (b * x * z) * ((u * a**n + v * b**n) * (y**n - z**n)
+                          + (u * c**n + v * b**n) * (x**n - y**n))
+         - (a * y * z) * ((u * b**n + v * a**n) * (z**n - x**n)
+                          + (u * c**n + v * a**n) * (x**n - y**n))
+         + w * a**(n - 1) * b * c * x**2 * (y**n - z**n)
+         + w * a * b**(n - 1) * c * y**2 * (z**n - x**n)
+         + w * a * b * c**(n - 1) * z**2 * (x**n - y**n))
+    return BuiltFormula(f"MULT4({n})", f"MULT4_POINTS({n})", npoint=3,
+                        ncoord=3, degree=n + 2, multiplicity=4, poly=q)
+
+
+def bmss_surface_by_products() -> BuiltFormula:
+    """The BMSS surface as a sum of products, twelve lines of two terms."""
+    a, b, c, d, x0, x1, x2, x3 = _ring(8)
+    q = (b**2 * (c**3 - d**3) * x0**3 * x1
+         + a**2 * (d**3 - c**3) * x0 * x1**3
+         + c**2 * (d**3 - b**3) * x0**3 * x2
+         + c**2 * (a**3 - d**3) * x1**3 * x2
+         + a**2 * (b**3 - d**3) * x0 * x2**3
+         + b**2 * (d**3 - a**3) * x1 * x2**3
+         + d**2 * (b**3 - c**3) * x0**3 * x3
+         + d**2 * (c**3 - a**3) * x1**3 * x3
+         + d**2 * (a**3 - b**3) * x2**3 * x3
+         + a**2 * (c**3 - b**3) * x0 * x3**3
+         + b**2 * (a**3 - c**3) * x1 * x3**3
+         + c**2 * (b**3 - a**3) * x2 * x3**3)
+    return BuiltFormula("BMSS", "BMSS_P3", npoint=4, ncoord=4,
+                        degree=4, multiplicity=3, poly=q)

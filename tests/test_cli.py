@@ -170,10 +170,11 @@ def test_flat_budget_refusal_exits_1(capsys, monkeypatch):
 
 
 def test_closed_form_over_the_flat_budget_exits_1(capsys, monkeypatch):
-    # GEN(m) and MULT4(n) count their configurations before any polynomial
-    def no_ring(*args):
+    # GEN(m) and MULT4(n) count their configurations before any polynomial:
+    # both builders write their terms through _cyclic_orbits
+    def no_orbits(*args):
         raise AssertionError("a polynomial was built")
-    monkeypatch.setattr(fermatarr.formulas, "_ring", no_ring)
+    monkeypatch.setattr(fermatarr.formulas, "_cyclic_orbits", no_orbits)
     for family in ("GEN(1000000)", "MULT4(1000000)"):
         for argv in (("verify-formula", "--config-id", family),
                      ("render", "--config-id", family, "--point", "1,2,3")):
@@ -409,6 +410,36 @@ def test_render_curve_svg(capsys):
     # B3 is GEN(2) relabelled, and must draw what the paper's quartic drew
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "af157a9abacd4ac2e0d4f3ea737683d29100dc9e4fa69e7389671bda7dcb6c55"
+
+
+# render sums a curve's terms as floats in the order the builder writes
+# them; these SVGs were drawn from the closed forms' product expansions
+PINNED_CURVE_SVGS = [
+    (("B3", "1,2,3"),
+     "2ed1fb7628e599f019ec0059d9c04eb3b341851cf8039628252061db27921e6d"),
+    (("B3", "2,-1,1"),
+     "2172a440ddf7a67147fbfa3467506e5703461741be24aeb1db9557f631ced58a"),
+    (("GEN(5)", "1,2,3"),
+     "59810287d5df5360891d88d6d1d25fd9899152780c297ef3524d08282f0e11b9"),
+    (("GEN(5)", "2,-1,1"),
+     "f6b89b594c683e138cacf9550a720f73b0b722498c02aa1c28bad6576d0be63c"),
+    (("GEN(8)", "1,2,3"),
+     "7cbe2c83dc6ba3e736f9a54b12f1fd6ff47bef77e52e06365ac6b6aa44d9afab"),
+    (("GEN(8)", "2,-1,1"),
+     "ed1863a63862d3a5054f8b12ca727079e588ccec0ff836a2ea337608d7b80c1f"),
+    (("MULT4(4)", "1,2,3"),
+     "964f0e1f7b0f526bd614db2f937379635c10b6394488c1126f6f6c47a58c65b5"),
+    (("MULT4(4)", "2,-1,1"),
+     "44150cf6177fb0210415f73302318a92fc5399a3da321505bd68eba9bf34fa79"),
+]
+
+
+def test_closed_form_curve_svgs_match_pinned_digests(capsys):
+    for (family, point), digest in PINNED_CURVE_SVGS:
+        code, out, _ = run(capsys, "render", "--config-id", family,
+                           "--point", point)
+        assert code == 0, family
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, point)
 
 
 def test_version_flag(capsys):

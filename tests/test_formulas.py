@@ -5,7 +5,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from helpers import (b3_quartic, quintic_curve, sextic_curve, vanishes_at_points,
+from helpers import (b3_quartic, bmss_surface_by_products,
+                     family_curve_by_products, mult4_curve_by_products,
+                     quintic_curve, sextic_curve, vanishes_at_points,
                      vanishes_by_rows)
 
 from fermatarr import formulas, scheme
@@ -35,6 +37,30 @@ def test_general_family_reproduces_the_fixed_equations():
     assert fermat_family_curve(3).poly == quintic_curve().poly
     assert fermat_family_curve(4).poly == sextic_curve().poly
     assert equal_up_to_scalar(fermat_family_curve(4).poly, sextic_curve().poly)
+
+
+def _render_sums(form: formulas.BuiltFormula) -> dict:
+    """Per power of x0, the ambient monomials in the order in which render
+    adds them as floats, the first two unordered: float addition from 0.0
+    cannot tell those two apart."""
+    sums: dict[int, list] = {}
+    for e in dict.fromkeys(e[form.npoint:] for e in form.poly.terms):
+        sums.setdefault(e[0], []).append(e)
+    return {k: (set(v[:2]), v[2:]) for k, v in sums.items()}
+
+
+def test_term_lists_equal_the_product_forms():
+    # family, configuration, degrees, multiplicity and the polynomial alike;
+    # and the sums render makes meet their terms in the same order, so it
+    # draws the same curve at every general point
+    cases = ([(fermat_family_curve(m), family_curve_by_products(m))
+              for m in range(2, 41)]
+             + [(mult4_curve(n), mult4_curve_by_products(n))
+                for n in range(3, 33)])
+    for new, old in cases:
+        assert new == old, old.family
+        assert _render_sums(new) == _render_sums(old), old.family
+    assert bmss_surface() == bmss_surface_by_products()
 
 
 def test_bidegrees_and_homogeneity():
