@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm, perm
 
 from .arrange import (BudgetError, Flat, check_flat_budget, derived_flats,
@@ -503,8 +503,10 @@ class ConditionMatrix:
         rows = [row for flat, mult in reps for row in component_rows(flat, mult, d)]
         return cls(comb(N + d, N), order, list(blocks.values()), rows)
 
+    @cached_property
     def _where(self) -> list:
-        """For each column, its (block index, column within the block)."""
+        """For each column, its (block index, column within the block),
+        built once per matrix."""
         where = [None] * self.ncols
         for b, cols in enumerate(self.blocks):
             for local, c in enumerate(cols):
@@ -516,7 +518,7 @@ class ConditionMatrix:
         A row is split through its nonzeros only, into sparse rows whose
         local columns ascend with the row's."""
         parts = [(Eliminator(len(cols), self.order), cols) for cols in self.blocks]
-        where = self._where()
+        where = self._where
         for cols, vals in self.rows:
             split: dict[int, tuple] = {}
             for c, v in zip(cols, vals):
@@ -536,7 +538,7 @@ class ConditionMatrix:
         """Whether the form with coefficient vector vec lies in (I_Z)_d: the
         rows annihilate each block part of vec, each row dotted only over
         its nonzeros where vec is nonzero too."""
-        where = self._where()
+        where = self._where
         for cols, vals in self.rows:
             split: dict[int, tuple] = {}
             for c, v in zip(cols, vals):

@@ -74,16 +74,22 @@ bmss_surface_by_products build GEN(m), MULT4(n) and the BMSS surface as
 sums of MultiPoly products and powers of the ring variables, in the
 paper's grouping (GEN(m) in one form per parity of m): the reference
 for the library's builders, which write the same forms term by term.
+
+multiplicity_by_full_scan is the vanishing order at the general point
+by expanding F(a + y) at every order t = 0, 1, ... in turn, whatever
+the claimed multiplicity: the reference for
+symbolic_multiplicity_at_general, which skips the orders below the
+claim by Euler's identity.
 """
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from fermatarr.arrange import (Flat, derived_flats, dual_points,
                                fermat_arrangement, parse_id)
-from fermatarr.cyclo import CyclotomicNumber, euler_phi
-from fermatarr.formulas import BuiltFormula, mult4_weights
+from fermatarr.cyclo import CyclotomicNumber, as_field, common_order, euler_phi
+from fermatarr.formulas import BuiltFormula, _lower_indices, mult4_weights
 from fermatarr.linalg import (_field_entries, _field_row_to_int, eliminate,
                               kernel_of_rref, row_dot, rref, sparse_row)
 from fermatarr.mpoly import MultiPoly, graded_monomials
@@ -523,3 +529,42 @@ def bmss_surface_by_products() -> BuiltFormula:
          + c**2 * (b**3 - a**3) * x2 * x3**3)
     return BuiltFormula("BMSS", "BMSS_P3", npoint=4, ncoord=4,
                         degree=4, multiplicity=3, poly=q)
+
+
+def multiplicity_by_full_scan(form: BuiltFormula) -> tuple[int, bool]:
+    """(attained, certified) as symbolic_multiplicity_at_general defines
+    them, from the lowest order t at which some coefficient of y^j,
+    |j| = t, in F(a + y) is not zero, trying t = 0, 1, ... in turn."""
+    if form.poly.is_zero():
+        return (0, False)
+    np_ = form.npoint
+    coeffs = form.poly.terms.values()
+    order = common_order(coeffs)
+    den = lcm(*(c.den for c in coeffs))
+    # each term as (alpha + beta, beta, numerators over den)
+    terms = []
+    for e, c in form.poly.terms.items():
+        c = as_field(c, order)
+        scale = den // c.den
+        alpha, beta = e[:np_], e[np_:]
+        terms.append((tuple(a + b for a, b in zip(alpha, beta)), beta,
+                      tuple(v * scale for v in c.num)))
+    top = max(sum(beta) for _, beta, _ in terms)
+    for t in range(top + 1):
+        by_j: dict = {}
+        for total, beta, num in terms:
+            for j, w in _lower_indices(beta, t):
+                by_j.setdefault(j, []).append((total, num, w))
+        for j, contributions in by_j.items():
+            coeff: dict = {}
+            for total, num, w in contributions:
+                key = tuple(k - i for k, i in zip(total, j))
+                acc = coeff.get(key)
+                if acc is None:
+                    coeff[key] = [w * v for v in num]
+                else:
+                    for s, v in enumerate(num):
+                        acc[s] += w * v
+            if any(any(acc) for acc in coeff.values()):
+                return (t, True)
+    raise AssertionError("F(a + y) is zero for a nonzero F")

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 from helpers import (b3_quartic, bmss_surface_by_products,
-                     family_curve_by_products, mult4_curve_by_products,
-                     quintic_curve, sextic_curve, vanishes_at_points,
-                     vanishes_by_rows)
+                     family_curve_by_products, multiplicity_by_full_scan,
+                     mult4_curve_by_products, quintic_curve, sextic_curve,
+                     vanishes_at_points, vanishes_by_rows)
 
 from fermatarr import formulas, scheme
 from fermatarr.formulas import (
@@ -184,21 +184,15 @@ def _substitution_multiplicity(form):
     return min(sum(e[np_:]) for e in shifted.terms)
 
 
-def test_multiplicity_matches_substitution_oracle():
-    families = (["B3", "M3", "M4", "BMSS"] + [f"GEN({m})" for m in range(2, 9)]
-                + [f"MULT4({n})" for n in (3, 4, 5)])
-    for family in families:
-        form = build_formula(family)
-        assert symbolic_multiplicity_at_general(form) \
-            == (_substitution_multiplicity(form), True), family
+def _seeded_random_forms():
     # seeded random forms over Q(e_3), Q(e_4) and Q(e_12), with
     # denominators, some multiplied by a power of a linear form through
-    # the general point so that the order is above 0
+    # the general point so that the order is above 0; most are not
+    # homogeneous in the ambient coordinates
     rng = random.Random(14)
     base = b3_quartic()
     a, b, c, x, y, z = (MultiPoly.variable(i, 6) for i in range(6))
     through = (b * x - a * y, c * x - a * z, (b + c) * x - a * (y + z))
-    orders = set()
     for trial in range(60):
         terms = {}
         for _ in range(rng.randint(1, 6)):
@@ -208,15 +202,68 @@ def test_multiplicity_matches_substitution_oracle():
                 Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3))), order)
             terms[e] = coeff * CyclotomicNumber.root(order, rng.randrange(order))
         poly = MultiPoly(6, terms) * rng.choice(through) ** rng.randint(0, 3)
-        form = replace(base, poly=poly)
+        yield replace(base, poly=poly)
+
+
+def test_multiplicity_matches_substitution_oracle():
+    families = (["B3", "M3", "M4", "BMSS"] + [f"GEN({m})" for m in range(2, 9)]
+                + [f"MULT4({n})" for n in (3, 4, 5)])
+    for family in families:
+        form = build_formula(family)
+        assert symbolic_multiplicity_at_general(form) \
+            == (_substitution_multiplicity(form), True), family
+    orders = set()
+    for form in _seeded_random_forms():
         want = _substitution_multiplicity(form)
         assert symbolic_multiplicity_at_general(form) == (want, True)
         orders.add(want)
     assert {0, 1, 2, 3} <= orders
     # F(a) = a^2 + a*b is not zero, so the order is 0
-    const = replace(base, degree=2, multiplicity=0, poly=x**2 + a * y)
+    a, x, y = (MultiPoly.variable(i, 6) for i in (0, 3, 4))
+    const = replace(b3_quartic(), degree=2, multiplicity=0, poly=x**2 + a * y)
     assert symbolic_multiplicity_at_general(const) == (0, True)
     assert _substitution_multiplicity(const) == 0
+
+
+def test_multiplicity_equals_the_full_scan():
+    # the order below the claim is tried first, so every way a claim can
+    # be wrong is among the cases: too high, above the degree, too low,
+    # and off by one on a form that is, or is not, homogeneous in x
+    forms = [build_formula(family) for family in
+             ["B3", "M3", "M4", "BMSS"] + [f"GEN({m})" for m in range(2, 49)]
+             + [f"MULT4({n})" for n in range(3, 33)]]
+    forms += _seeded_random_forms()
+    base = b3_quartic()
+    forms.append(replace(base, poly=MultiPoly.zero(6)))
+    gen5 = fermat_family_curve(5)
+    forms += [replace(gen5, multiplicity=claim) for claim in (0, 1, 8, 9, 20)]
+    names = ("a", "b", "c", "x", "y", "z")
+    for text, claim in (("(b*x - a*y)^2*z", 3), ("(b*x - a*y)^3 + x", 3),
+                        ("(b*x - a*y)^3 + b*x - a*y", 3)):
+        forms.append(replace(base, multiplicity=claim,
+                             poly=parse_poly(text, names)))
+    for form in forms:
+        assert symbolic_multiplicity_at_general(form) \
+            == multiplicity_by_full_scan(form), form
+
+
+def test_a_right_claim_asks_for_two_orders(monkeypatch):
+    asked = []
+
+    def recorded(terms, t):
+        asked.append(t)
+        return real(terms, t)
+    real = formulas._order_survives
+    monkeypatch.setattr(formulas, "_order_survives", recorded)
+    for m in (5, 11, 48):
+        asked.clear()
+        assert symbolic_multiplicity_at_general(fermat_family_curve(m)) \
+            == (m + 1, True)
+        assert asked == [m, m + 1]
+    for n in (3, 4, 5, 32):
+        asked.clear()
+        assert symbolic_multiplicity_at_general(mult4_curve(n)) == (4, True)
+        assert asked == [3, 4]
 
 
 def test_mult4_weights_and_ideal_membership():
